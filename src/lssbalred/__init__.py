@@ -31,11 +31,8 @@ from .errors import InfeasibleError, LssError, ModelFormatError
 from .gain import GainCertificate, gamma_feasible, hankel_upper_bound, l2_gain_upper_bound
 from .grammians import (
     GrammianPair,
-    MembershipReport,
     SingularValues,
     averaged_grammians,
-    check_membership,
-    grammian_from_certificate,
     lmi_grammian,
     nice_grammian_series_oracle,
     nice_grammians,
@@ -48,6 +45,9 @@ from .lmi import (
     FeasibilityResult,
     LmiBlock,
     LmiTerm,
+    MembershipReport,
+    check_membership,
+    family_system,
     project_psd,
     schur_equivalence_check,
     solve_feasibility,

@@ -62,22 +62,12 @@ def orth_complement(V, n):
     return Q2[:, : n - r]
 
 
-def eig_range(M):
-    """(min, max) eigenvalue of a symmetric matrix."""
-    w = np.linalg.eigvalsh(symmetrize(M))
-    return float(w[0]), float(w[-1])
-
-
 def max_eig(M):
     return float(np.linalg.eigvalsh(symmetrize(M))[-1])
 
 
 def min_eig(M):
     return float(np.linalg.eigvalsh(symmetrize(M))[0])
-
-
-def is_pd(M, floor=0.0):
-    return min_eig(M) > floor
 
 
 def chol_pd(M, what="matrix"):
@@ -87,6 +77,22 @@ def chol_pd(M, what="matrix"):
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise ValueError(f"{what} is not positive definite")
+
+
+def kron_sum(A_list):
+    """Dense n^2 x n^2 matrix T = sum_q A_q (x) A_q.  In row-major
+    vectorization T maps vec(X) to vec(sum_q A_q X A_q^T), and its transpose
+    sum_q A_q^T (x) A_q^T maps vec(X) to vec(sum_q A_q^T X A_q)."""
+    return sum(np.kron(A, A) for A in A_list)
+
+
+def stein_solve(T, G):
+    """Unique solution of the mode-summed Stein equation X = T(X) + G, where
+    T is a :func:`kron_sum` matrix or its transpose, of spectral radius < 1;
+    dense O(n^6) solve."""
+    n = G.shape[0]
+    vec = np.linalg.solve(np.eye(n * n) - T, G.reshape(-1))
+    return symmetrize(vec.reshape(n, n))
 
 
 def svec(M):

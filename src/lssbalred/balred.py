@@ -14,23 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import chol_pd, min_eig
-from .errors import InfeasibleError
 from .grammians import (
     CONTROLLABILITY,
     OBSERVABILITY,
     GrammianPair,
     averaged_grammians,
-    grammian_from_certificate,
     lmi_grammian,
     nice_grammians,
     pair_margin,
 )
 from .model import Isomorphism, LssModel, apply_isomorphism
 from .realization import minimize
-from .stability import check_quadratic_stability
 
 TIE_REL_TOL = 1e-8
 CONDITION_LIMIT = 1e12
+GRAMMIAN_SOURCES = ("lmi", "nice", "averaged")  # compute_pair sources
 
 
 @dataclass(frozen=True)
@@ -133,8 +131,10 @@ def truncate(bal, r, force_ties=False):
 
 
 def compute_pair(model, source="lmi", tighten=True, margin=None, budget=None):
-    """Grammian pair from one of the supported sources:
-    "lmi" (default, trace-tightened), "nice", "averaged", "certificate"."""
+    """Grammian pair from one of GRAMMIAN_SOURCES: "lmi" (default,
+    trace-tightened LMI solves), "nice" (exact mode-summed Stein solves) or
+    "averaged" (nice plus a strict margin); the last two need a strongly
+    stable discrete-time model."""
     if source == "lmi":
         P = lmi_grammian(model, CONTROLLABILITY, tighten=tighten, margin=margin, budget=budget)
         Q = lmi_grammian(model, OBSERVABILITY, tighten=tighten, margin=margin, budget=budget)
@@ -143,13 +143,6 @@ def compute_pair(model, source="lmi", tighten=True, margin=None, budget=None):
         pair = nice_grammians(model)
     elif source == "averaged":
         pair = averaged_grammians(model)
-    elif source == "certificate":
-        cert = check_quadratic_stability(model, margin=margin)
-        if cert is None:
-            raise InfeasibleError("no quadratic stability certificate found")
-        P = grammian_from_certificate(cert, model, CONTROLLABILITY)
-        Q = grammian_from_certificate(cert, model, OBSERVABILITY)
-        pair = GrammianPair(P, Q, "certificate")
     else:
         raise ValueError(f"unknown grammian source {source!r}")
     return GrammianPair(pair.P_ctrl, pair.Q_obs, pair.provenance,

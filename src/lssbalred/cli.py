@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .balred import compute_pair, reduce_model
+from .balred import GRAMMIAN_SOURCES, compute_pair, reduce_model
 from .embeddings import build_uncertain_embedding, check_uncertain_minimality_equivalence
 from .errors import InfeasibleError, LssError, ModelFormatError
 from .gain import l2_gain_upper_bound
@@ -320,8 +320,7 @@ def build_parser():
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--order", type=int, default=None, help="retained order r")
         p.add_argument("--bound", type=float, default=None, help="error-bound budget")
-        p.add_argument("--grammians", default="lmi",
-                       choices=["lmi", "nice", "averaged", "certificate"])
+        p.add_argument("--grammians", default="lmi", choices=GRAMMIAN_SOURCES)
         p.add_argument("--minimize-first", action="store_true")
         p.add_argument("--force-ties", action="store_true")
         p.add_argument("--margin", type=float, default=None)
@@ -337,8 +336,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on bad arguments, but 2 means "infeasible" here;
+        # --help and --version exit 0.
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     if args.command == "verify-bound" and args.trials <= 0:
         args.trials = 50
     try:

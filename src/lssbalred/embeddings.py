@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_eig, min_eig, orth_columns, symmetrize
+from ._linalg import kron_sum, max_eig, min_eig, orth_columns, stein_solve
+from .lmi import check_membership
 from .model import DISCRETE, LssModel
 from .realization import is_minimal
 from .simulate import _dt_run_batch, run_trials
@@ -158,26 +159,22 @@ def check_beck_grammian_projection(model, blockP, blockQ, tol=1e-9):
     P = _block_diag(list(blockP))
     Q = _block_diag(list(blockQ))
     scale = max(1.0, float(np.max(np.abs(emb.A))) ** 2 * float(np.max(np.abs(P))))
-    ctrl_res = max_eig(emb.A @ P @ emb.A.T + emb.B @ emb.B.T - P)
-    obs_res = max_eig(emb.A.T @ Q @ emb.A + emb.C.T @ emb.C - Q)
+    embedded = LssModel(DISCRETE, (emb.A,), (emb.B,), (emb.C,))
+    ctrl_res = check_membership(embedded, P, "C").worst
+    obs_res = check_membership(embedded, Q, "O").worst
     if ctrl_res > tol * scale or obs_res > tol * scale:
         raise ValueError(
             "block matrices do not satisfy the embedded grammian inequalities"
         )
     P1, Q1 = blockP[0], blockQ[0]
-    sum_ctrl = max_eig(
-        sum(A @ P1 @ A.T + B @ B.T for A, B in zip(model.A, model.B)) - P1
+    return BlockGrammianReport(
+        ctrl_res,
+        obs_res,
+        check_membership(model, P1, "Csum").worst,
+        check_membership(model, Q1, "Osum").worst,
+        check_membership(model, P1, "C").worst,
+        check_membership(model, Q1, "O").worst,
     )
-    sum_obs = max_eig(
-        sum(A.T @ Q1 @ A + C.T @ C for A, C in zip(model.A, model.C)) - Q1
-    )
-    mode_ctrl = max(
-        max_eig(A @ P1 @ A.T + B @ B.T - P1) for A, B in zip(model.A, model.B)
-    )
-    mode_obs = max(
-        max_eig(A.T @ Q1 @ A + C.T @ C - Q1) for A, C in zip(model.A, model.C)
-    )
-    return BlockGrammianReport(ctrl_res, obs_res, sum_ctrl, sum_obs, mode_ctrl, mode_obs)
 
 
 def feasible_block_pair(model, c=None):
@@ -190,7 +187,7 @@ def feasible_block_pair(model, c=None):
     """
     _require_discrete(model)
     D, n = model.num_modes, model.n
-    T = D * sum(np.kron(A, A) for A in model.A)
+    T = D * kron_sum(model.A)
     rho = float(np.max(np.abs(np.linalg.eigvals(T))))
     if rho >= 1.0:
         raise ValueError(
@@ -202,15 +199,12 @@ def feasible_block_pair(model, c=None):
     c2 = c / (2.0 * max(1.0, gram_norm))
 
     GB = sum(B @ B.T for B in model.B) + (c2 * gram_norm + c) * np.eye(n)
-    vec = np.linalg.solve(np.eye(n * n) - T, GB.reshape(-1))
-    P1 = symmetrize(vec.reshape(n, n))
+    P1 = stein_solve(T, GB)
     blockP = [P1] + [D * P1 + c2 * np.eye(n) for _ in range(D)]
 
-    Tt = D * sum(np.kron(A.T, A.T) for A in model.A)
     c3 = c
     GC = D * sum(C.T @ C for C in model.C) + (D * c2 + c3) * np.eye(n)
-    vecq = np.linalg.solve(np.eye(n * n) - Tt, GC.reshape(-1))
-    Q1raw = symmetrize(vecq.reshape(n, n))
+    Q1raw = stein_solve(T.T, GC)
     # Q1 solves Q1 = D sum A^T Q1 A + GC, satellites dominate the Gram grid.
     blockQ = [Q1raw] + [
         D * (model.A[q].T @ Q1raw @ model.A[q] + model.C[q].T @ model.C[q]) + c2 * np.eye(n)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .grammians import gain_residual, singular_values
-from .lmi import AffineLmiSystem, LmiBlock, LmiTerm, solve_feasibility
+from .grammians import singular_values
+from .lmi import check_membership, family_system, solve_feasibility
 from .stability import check_quadratic_stability
 
 BISECTION_CAP = 60
@@ -39,42 +39,18 @@ class GainCertificate:
         return all(r < 0 for r in self.residuals)
 
 
-def gain_lmi_system(model, gamma):
-    n, m = model.n, model.m
-    blocks = []
-    E1 = np.vstack([np.eye(n), np.zeros((m, n))])  # embeds n-dim into the block
-    for A, B, C in zip(model.A, model.B, model.C):
-        const = np.zeros((n + m, n + m))
-        const[:n, :n] = C.T @ C
-        const[n:, n:] = -(gamma**2) * np.eye(m)
-        if model.is_discrete:
-            L1 = np.vstack([A.T, B.T])
-            terms = (LmiTerm(L1, L1.T), LmiTerm(-E1, E1.T))
-        else:
-            R2 = np.hstack([np.zeros((n, n)), B])
-            terms = (
-                LmiTerm(E1 @ A.T, E1.T, symmetrize=True),
-                LmiTerm(E1, R2, symmetrize=True),
-            )
-        blocks.append(LmiBlock(const, terms))
-    return AffineLmiSystem(n, tuple(blocks))
-
-
 def gamma_feasible(model, gamma, budget=None, margin=None, start=None):
     """Certificate for one gamma, or None if the solver found nothing
     within budget."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     kwargs = {} if budget is None else {"budget": budget}
-    result = solve_feasibility(gain_lmi_system(model, gamma), margin=margin,
+    result = solve_feasibility(family_system(model, "G", gamma), margin=margin,
                                start=start, **kwargs)
     if not result.feasible:
         return None
     P = result.solution
-    residuals = tuple(
-        float(np.linalg.eigvalsh(gain_residual(model, P, gamma, q))[-1])
-        for q in range(model.num_modes)
-    )
+    residuals = check_membership(model, P, "G", gamma).mode_residuals
     return GainCertificate(float(gamma), P, residuals)
 
 

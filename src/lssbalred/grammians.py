@@ -1,12 +1,12 @@
-"""Grammian computation by every route the theory offers.
+"""Grammian computation by three routes.
 
 Controllability and observability grammians are positive definite solutions
-of simultaneous per-mode matrix inequalities.  They can be found by the LMI
-solver directly (with optional trace tightening), constructed from a
-quadratic-stability certificate by a scalar line search, obtained exactly as
-the unique solutions of the mode-summed Stein equations ("nice" grammians,
-discrete time, strongly stable systems only), or as averaged grammians whose
-single summed inequality implies the per-mode ones.
+of simultaneous per-mode matrix inequalities (the sets C and O of
+:func:`lssbalred.lmi.family_system`).  They can be found by the LMI solver
+directly (with optional trace tightening), obtained exactly as the unique
+solutions of the mode-summed Stein equations ("nice" grammians, discrete
+time, strongly stable systems only), or as averaged grammians whose single
+summed inequality implies the per-mode ones.
 
 Singular-value convention: sigma_i = sqrt(lambda_i(P Q)), computed through a
 Cholesky symmetrization so the spectrum is real by construction.  In balanced
@@ -17,15 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_pd, max_eig, min_eig, require_symmetric, symmetrize
+from ._linalg import chol_pd, kron_sum, min_eig, require_symmetric, stein_solve, symmetrize
 from .errors import InfeasibleError
-from .lmi import AffineLmiSystem, LmiBlock, LmiTerm, solve_feasibility, tighten_trace
-from .stability import (
-    certificate_margin,
-    check_quadratic_stability,
-    check_strong_stability,
-    stability_residual,
-)
+from .lmi import check_membership, family_system, solve_feasibility, tighten_trace
+from .stability import check_strong_stability
 
 CONTROLLABILITY = "controllability"
 OBSERVABILITY = "observability"
@@ -37,7 +32,7 @@ class GrammianPair:
 
     P_ctrl: np.ndarray
     Q_obs: np.ndarray
-    provenance: str  # "lmi" | "certificate" | "nice" | "averaged" | "manual"
+    provenance: str  # a balred.GRAMMIAN_SOURCES entry, or "manual"
     margin: float = 0.0
 
 
@@ -50,180 +45,26 @@ class SingularValues:
         return float(self.values[0])
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    set_name: str
-    mode_residuals: tuple  # per-mode max eigenvalue of the defining residual
-
-    @property
-    def worst(self):
-        return max(self.mode_residuals)
-
-    def member(self, margin=0.0):
-        return self.worst <= -margin
-
-
-# ---------------------------------------------------------------------------
-# Residual evaluation (Definition of the S / O / C / G_gamma families)
-# ---------------------------------------------------------------------------
-
-
-def observability_residual(model, Q, q):
-    A, _, C = model.mode(q)
-    if model.is_discrete:
-        return A.T @ Q @ A + C.T @ C - Q
-    return A.T @ Q + Q @ A + C.T @ C
-
-
-def controllability_residual(model, P, q):
-    A, B, _ = model.mode(q)
-    if model.is_discrete:
-        return A @ P @ A.T + B @ B.T - P
-    return A @ P + P @ A.T + B @ B.T
-
-
-def gain_residual(model, P, gamma, q):
-    A, B, C = model.mode(q)
-    m = model.m
-    if model.is_discrete:
-        return np.block([
-            [A.T @ P @ A + C.T @ C - P, A.T @ P @ B],
-            [B.T @ P @ A, B.T @ P @ B - gamma**2 * np.eye(m)],
-        ])
-    return np.block([
-        [A.T @ P + P @ A + C.T @ C, P @ B],
-        [B.T @ P, -gamma**2 * np.eye(m)],
-    ])
-
-
-def check_membership(model, M, set_name, gamma=None):
-    """Per-mode residual eigenvalues for membership of M in one of the sets
-    S (stability), O (observability), C (controllability) or G_gamma.
-
-    Membership means every residual is <= 0; the strict variant asks for
-    <= -margin.
-    """
-    M = require_symmetric(M, what="candidate matrix")
-    res = []
-    for q in range(model.num_modes):
-        if set_name == "S":
-            R = stability_residual(model, M, q)
-        elif set_name == "O":
-            R = observability_residual(model, M, q)
-        elif set_name == "C":
-            R = controllability_residual(model, M, q)
-        elif set_name == "G":
-            if gamma is None:
-                raise ValueError("gamma is required for the gain set")
-            R = gain_residual(model, M, gamma, q)
-        else:
-            raise ValueError(f"unknown set {set_name!r}")
-        res.append(max_eig(R))
-    return MembershipReport(set_name, tuple(res))
-
-
 # ---------------------------------------------------------------------------
 # LMI route
 # ---------------------------------------------------------------------------
 
-
-def grammian_lmi_system(model, kind):
-    n = model.n
-    blocks = []
-    for A, B, C in zip(model.A, model.B, model.C):
-        if kind == OBSERVABILITY:
-            const = C.T @ C
-            if model.is_discrete:
-                terms = (LmiTerm(A.T, A), LmiTerm(-np.eye(n), np.eye(n)))
-            else:
-                terms = (LmiTerm(A.T, np.eye(n), symmetrize=True),)
-        elif kind == CONTROLLABILITY:
-            const = B @ B.T
-            if model.is_discrete:
-                terms = (LmiTerm(A, A.T), LmiTerm(-np.eye(n), np.eye(n)))
-            else:
-                terms = (LmiTerm(A, np.eye(n), symmetrize=True),)
-        else:
-            raise ValueError(f"unknown grammian kind {kind!r}")
-        blocks.append(LmiBlock(const, terms))
-    return AffineLmiSystem(n, tuple(blocks))
+_FAMILY = {CONTROLLABILITY: "C", OBSERVABILITY: "O"}
 
 
 def lmi_grammian(model, kind, tighten=True, budget=None, margin=None):
-    """Grammian via the LMI solver, trace-tightened by default; falls back to
-    the certificate construction when the projection solver stalls."""
-    sys = grammian_lmi_system(model, kind)
+    """Grammian via the LMI solver, trace-tightened by default."""
+    if kind not in _FAMILY:
+        raise ValueError(f"unknown grammian kind {kind!r}")
+    sys = family_system(model, _FAMILY[kind])
     kwargs = {} if budget is None else {"budget": budget}
     result = solve_feasibility(sys, margin=margin, **kwargs)
-    if result.feasible:
-        G = result.solution
-    else:
-        cert = check_quadratic_stability(model, margin=margin)
-        if cert is None:
-            raise InfeasibleError(f"no {kind} grammian found within budget")
-        G = grammian_from_certificate(cert, model, kind)
+    if not result.feasible:
+        raise InfeasibleError(f"no {kind} grammian found within budget")
+    G = result.solution
     if tighten:
         G = tighten_trace(sys, G, margin=margin)
     return G
-
-
-# ---------------------------------------------------------------------------
-# Certificate route (constructive scaling of a stability certificate)
-# ---------------------------------------------------------------------------
-
-
-def grammian_from_certificate(cert, model, kind, rel_tol=1e-6, backoff=1e-3):
-    """Turn a quadratic-stability certificate P into a grammian.
-
-    Observability: the largest gamma with  stab_residual(P) + gamma C^T C < 0
-    for every mode exists because the certificate residual is negative
-    definite; P / gamma is then an observability grammian.  Controllability
-    works on P^-1 with B B^T (the inverse inherits a negative residual by the
-    Schur-complement equivalences).  gamma is located by doubling then
-    bisection, and backed off slightly so the result keeps a strictly
-    positive margin.
-    """
-    if certificate_margin(model, cert.P) <= 0:
-        raise ValueError("certificate residual is not negative definite")
-    if kind == OBSERVABILITY:
-        base = cert.P
-    elif kind == CONTROLLABILITY:
-        base = symmetrize(np.linalg.inv(cert.P))
-    else:
-        raise ValueError(f"unknown grammian kind {kind!r}")
-
-    def worst_residual(g):
-        worst = -np.inf
-        for A, B, C in zip(model.A, model.B, model.C):
-            if kind == OBSERVABILITY:
-                R0 = A.T @ base @ A - base if model.is_discrete else A.T @ base + base @ A
-                G = C.T @ C
-            else:
-                R0 = A @ base @ A.T - base if model.is_discrete else A @ base + base @ A.T
-                G = B @ B.T
-            worst = max(worst, max_eig(R0 + g * G))
-        return worst
-
-    def feasible(g):
-        return worst_residual(g) < 0.0
-
-    lo = 0.0
-    hi = 1.0
-    while feasible(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e18:
-            break
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    gamma = lo * (1.0 - backoff)
-    if gamma <= 0.0:
-        raise InfeasibleError(f"certificate scaling failed for {kind}")
-    return base / gamma
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +72,19 @@ def grammian_from_certificate(cert, model, kind, rel_tol=1e-6, backoff=1e-3):
 # ---------------------------------------------------------------------------
 
 
-def _summed_stein_solve(A_list, G, transpose):
-    """Unique solution of  X = sum_q A_q X A_q^T + G  (transpose=False) or
-    X = sum_q A_q^T X A_q + G  (transpose=True), by the dense vectorized
-    linear system."""
-    n = G.shape[0]
-    if transpose:
-        T = sum(np.kron(A.T, A.T) for A in A_list)
-    else:
-        T = sum(np.kron(A, A) for A in A_list)
-    vec = np.linalg.solve(np.eye(n * n) - T, G.reshape(-1))
-    return symmetrize(vec.reshape(n, n))
+def _summed_pair(model, GB, GC, provenance, margin=0.0):
+    """The pair P = sum_q A_q P A_q^T + GB, Q = sum_q A_q^T Q A_q + GC of a
+    strongly stable discrete-time model: one strong-stability check, then
+    two dense Stein solves."""
+    if not model.is_discrete:
+        raise ValueError(f"{provenance} grammians are defined for discrete-time models only")
+    report = check_strong_stability(model)
+    if not report.stable:
+        raise InfeasibleError(
+            f"model is not strongly stable (radius {report.kronecker_spectral_radius:.6g})"
+        )
+    T = kron_sum(model.A)
+    return GrammianPair(stein_solve(T, GB), stein_solve(T.T, GC), provenance, margin)
 
 
 def nice_grammians(model):
@@ -253,18 +96,9 @@ def nice_grammians(model):
     Requires a strongly stable discrete-time model.  P is positive definite
     iff the model is span-reachable; Q iff it is observable.
     """
-    if not model.is_discrete:
-        raise ValueError("nice grammians are defined for discrete-time models only")
-    report = check_strong_stability(model)
-    if not report.stable:
-        raise InfeasibleError(
-            f"model is not strongly stable (radius {report.kronecker_spectral_radius:.6g})"
-        )
     GB = sum(B @ B.T for B in model.B)
     GC = sum(C.T @ C for C in model.C)
-    P = _summed_stein_solve(model.A, GB, transpose=False)
-    Q = _summed_stein_solve(model.A, GC, transpose=True)
-    return GrammianPair(P, Q, "nice", margin=0.0)
+    return _summed_pair(model, GB, GC, "nice")
 
 
 def nice_grammian_series_oracle(model, depth, term_budget=10**7):
@@ -340,63 +174,24 @@ def truncated_hankel_square_sum(model, tol=1e-9, max_depth=20000):
 # ---------------------------------------------------------------------------
 
 
-def averaged_residuals(model, P, Q):
-    """The two summed residuals: sum_q(A P A^T + B B^T) - P and
-    sum_q(A^T Q A + C^T C) - Q."""
-    RP = sum(A @ P @ A.T + B @ B.T for A, B in zip(model.A, model.B)) - P
-    RQ = sum(A.T @ Q @ A + C.T @ C for A, C in zip(model.A, model.C)) - Q
-    return symmetrize(RP), symmetrize(RQ)
-
-
-def averaged_lmi_system(model, kind):
-    n = model.n
-    terms = []
-    for A in model.A:
-        if kind == CONTROLLABILITY:
-            terms.append(LmiTerm(A, A.T))
-        else:
-            terms.append(LmiTerm(A.T, A))
-    terms.append(LmiTerm(-np.eye(n), np.eye(n)))
-    if kind == CONTROLLABILITY:
-        const = sum(B @ B.T for B in model.B)
-    else:
-        const = sum(C.T @ C for C in model.C)
-    return AffineLmiSystem(n, (LmiBlock(np.asarray(const, dtype=float), tuple(terms)),))
-
-
 def averaged_grammians(model, margin=None):
-    """Strict-margin solutions of the mode-summed grammian inequalities.
-    Each is a plain grammian as well: the per-mode residual is dominated by
-    the sum.
+    """Strict-margin solutions of the mode-summed grammian inequalities (the
+    sets Csum and Osum of :func:`lssbalred.lmi.family_system`).  Each is a
+    plain grammian as well: the per-mode residual is dominated by the sum.
 
-    For strongly stable models the pair is built exactly: the nice grammian
-    plus a scaled copy of the inflated averaged-stability solution
-    W = sum_q A_q W A_q^T + I gives residual exactly -c I.  Otherwise the LMI
-    solver is attempted (strict feasibility of the summed family is
-    equivalent to strong stability, so this mostly reports infeasibility).
+    The pair solves the Stein equations of :func:`nice_grammians` with
+    c I added to both right-hand sides, so both summed residuals are
+    exactly -c I.  Strict feasibility of the summed family is equivalent to
+    strong stability, so a model that is not strongly stable is rejected.
     """
-    if not model.is_discrete:
-        raise ValueError("averaged grammians are defined for discrete-time models only")
     scale = max(float(np.max(np.abs(A))) for A in model.A)
     if margin is None:
         margin = 1e-7 * max(1.0, scale) ** 2
-    report = check_strong_stability(model)
-    if report.stable:
-        nice = nice_grammians(model)
-        n = model.n
-        Wc = _summed_stein_solve(model.A, np.eye(n), transpose=False)
-        Wo = _summed_stein_solve(model.A, np.eye(n), transpose=True)
-        c = max(margin * 2.0, 1e-9)
-        P = nice.P_ctrl + c * Wc
-        Q = nice.Q_obs + c * Wo
-        return GrammianPair(P, Q, "averaged", margin=c)
-    results = []
-    for kind in (CONTROLLABILITY, OBSERVABILITY):
-        r = solve_feasibility(averaged_lmi_system(model, kind), margin=margin)
-        if not r.feasible:
-            raise InfeasibleError("averaged grammian LMIs infeasible within budget")
-        results.append(r.solution)
-    return GrammianPair(results[0], results[1], "averaged", margin=margin)
+    c = max(margin * 2.0, 1e-9)
+    cI = c * np.eye(model.n)
+    GB = sum(B @ B.T for B in model.B) + cI
+    GC = sum(C.T @ C for C in model.C) + cI
+    return _summed_pair(model, GB, GC, "averaged", margin=c)
 
 
 # ---------------------------------------------------------------------------

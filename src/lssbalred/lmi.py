@@ -7,7 +7,10 @@ same shape of problem: find a symmetric P with
     P      >=  margin * I,
 
 where each F_i is an affine map from symmetric n x n matrices to symmetric
-k_i x k_i matrices.  The solver runs Douglas-Rachford splitting between the
+k_i x k_i matrices.  Every constraint family of a switched model (stability,
+grammian, gain and mode-summed sets) is written once, by
+:func:`family_system`; the solver and the membership checks both evaluate
+those blocks.  The solver runs Douglas-Rachford splitting between the
 affine graph {(P, F_1(P), ..., F_m(P))} and the product of shifted
 semidefinite cones; the graph projection is a least-squares solve in the
 symmetric vectorization, factorized once per system, and the cone
@@ -101,6 +104,95 @@ class AffineLmiSystem:
 
     def with_extra_block(self, block):
         return AffineLmiSystem(self.n, self.blocks + (block,))
+
+
+def family_system(model, family, gamma=None):
+    """The constraint family `family` of a switched model as an affine LMI
+    system; M belongs to the set when every block at M is <= 0.
+
+    Per mode (continuous | discrete):
+
+        "S"  A^T M + M A               | A^T M A - M
+        "O"  A^T M + M A + C^T C       | A^T M A - M + C^T C
+        "C"  A M + M A^T + B B^T       | A M A^T - M + B B^T
+        "G"  [[A^T M + M A + C^T C, M B],  [B^T M, -gamma^2 I]]
+             | [[A^T M A - M + C^T C, A^T M B], [B^T M A, B^T M B - gamma^2 I]]
+
+    and, discrete time only, one mode-summed block each:
+
+        "Osum"  sum_q (A_q^T M A_q + C_q^T C_q) - M
+        "Csum"  sum_q (A_q M A_q^T + B_q B_q^T) - M
+    """
+    n = model.n
+    if family in ("Osum", "Csum"):
+        if not model.is_discrete:
+            raise ValueError("mode-summed families are defined for discrete-time models only")
+        I = np.eye(n)
+        if family == "Csum":
+            terms = [LmiTerm(A, A.T) for A in model.A]
+            const = sum(B @ B.T for B in model.B)
+        else:
+            terms = [LmiTerm(A.T, A) for A in model.A]
+            const = sum(C.T @ C for C in model.C)
+        terms.append(LmiTerm(-I, I))
+        return AffineLmiSystem(n, (LmiBlock(np.asarray(const, dtype=float), tuple(terms)),))
+    if family == "G" and gamma is None:
+        raise ValueError("gamma is required for the gain set")
+    if family not in ("S", "O", "C", "G"):
+        raise ValueError(f"unknown set {family!r}")
+    blocks = tuple(_mode_block(family, A, B, C, gamma, model.is_discrete)
+                   for A, B, C in zip(model.A, model.B, model.C))
+    return AffineLmiSystem(n, blocks)
+
+
+def _mode_block(family, A, B, C, gamma, discrete):
+    n = A.shape[0]
+    I = np.eye(n)
+    if family == "G":
+        m = B.shape[1]
+        E1 = np.vstack([I, np.zeros((m, n))])  # embeds n-dim into the block
+        const = np.zeros((n + m, n + m))
+        const[:n, :n] = C.T @ C
+        const[n:, n:] = -(gamma**2) * np.eye(m)
+        if discrete:
+            L1 = np.vstack([A.T, B.T])
+            return LmiBlock(const, (LmiTerm(L1, L1.T), LmiTerm(-E1, E1.T)))
+        R2 = np.hstack([np.zeros((n, n)), B])
+        return LmiBlock(const, (LmiTerm(E1 @ A.T, E1.T, symmetrize=True),
+                                LmiTerm(E1, R2, symmetrize=True)))
+    if family == "S":
+        const, L = np.zeros((n, n)), A.T
+    elif family == "O":
+        const, L = C.T @ C, A.T
+    else:
+        const, L = B @ B.T, A
+    if discrete:
+        return LmiBlock(const, (LmiTerm(L, L.T), LmiTerm(-I, I)))
+    return LmiBlock(const, (LmiTerm(L, I, symmetrize=True),))
+
+
+@dataclass(frozen=True)
+class MembershipReport:
+    set_name: str
+    mode_residuals: tuple  # per-block max eigenvalue of the defining residual
+
+    @property
+    def worst(self):
+        return max(self.mode_residuals)
+
+    def member(self, margin=0.0):
+        return self.worst <= -margin
+
+
+def check_membership(model, M, set_name, gamma=None):
+    """Largest eigenvalue of each block of :func:`family_system` at M.
+
+    Membership means every residual is <= 0; the strict variant asks for
+    <= -margin.
+    """
+    M = require_symmetric(M, what="candidate matrix")
+    blocks = family_system(model, set_name, gamma).evaluate(M)
+    return MembershipReport(set_name, tuple(max_eig(R) for R in blocks))
 
 
 @dataclass

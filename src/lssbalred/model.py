@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import rank_tol
+from ._linalg import kron_sum, rank_tol
 from .errors import ModelFormatError
 
 CONTINUOUS = "continuous"
@@ -211,7 +211,7 @@ def random_stable_model(time_domain, n, D, m=1, p=1, kind="quadratic", seed=0,
             As.append(M * (dt_norm / s))
     else:
         raw = [rng.standard_normal((n, n)) for _ in range(D)]
-        T = sum(np.kron(A.T, A.T) for A in raw)
+        T = kron_sum(raw).T
         rho = float(np.max(np.abs(np.linalg.eigvals(T))))
         scale = math.sqrt(strong_radius / rho)
         As = [scale * A for A in raw]
@@ -246,23 +246,6 @@ def pad_with_dead_states(model, extra, seed=0, feed_input=False, feed_output=Fal
         Bs.append(np.vstack([B, Bpad]))
         Cs.append(np.hstack([C, Cpad]))
     return LssModel(model.time_domain, tuple(As), tuple(Bs), tuple(Cs), name=model.name)
-
-
-def direct_sum(m1, m2):
-    """Block-diagonal direct sum of two models with identical mode counts,
-    input and output dimensions; outputs add."""
-    if m1.num_modes != m2.num_modes or m1.m != m2.m or m1.time_domain != m2.time_domain:
-        raise ValueError("models are not compatible for a direct sum")
-    n1, n2 = m1.n, m2.n
-    As, Bs, Cs = [], [], []
-    for q in range(m1.num_modes):
-        A = np.zeros((n1 + n2, n1 + n2))
-        A[:n1, :n1] = m1.A[q]
-        A[n1:, n1:] = m2.A[q]
-        As.append(A)
-        Bs.append(np.vstack([m1.B[q], m2.B[q]]))
-        Cs.append(np.hstack([m1.C[q], m2.C[q]]))
-    return LssModel(m1.time_domain, tuple(As), tuple(Bs), tuple(Cs))
 
 
 # ---------------------------------------------------------------------------

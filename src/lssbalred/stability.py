@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_eig, min_eig
+from ._linalg import kron_sum, min_eig, stein_solve
 from .errors import InfeasibleError
-from .lmi import AffineLmiSystem, LmiBlock, LmiTerm, solve_feasibility
+from .lmi import check_membership, family_system, solve_feasibility
 
 DENSE_EIG_LIMIT = 2500  # side length of the Kronecker matrix, i.e. n <= 50
 
@@ -32,32 +32,11 @@ class StrongStabilityReport:
     matrix_dimension: int
 
 
-def stability_residual(model, P, q):
-    """Per-mode quadratic-stability residual: A^T P + P A (continuous) or
-    A^T P A - P (discrete)."""
-    A = model.A[q]
-    if model.is_discrete:
-        return A.T @ P @ A - P
-    return A.T @ P + P @ A
-
-
-def stability_lmi_system(model):
-    n = model.n
-    blocks = []
-    for A in model.A:
-        if model.is_discrete:
-            terms = (LmiTerm(A.T, A), LmiTerm(-np.eye(n), np.eye(n)))
-        else:
-            terms = (LmiTerm(A.T, np.eye(n), symmetrize=True),)
-        blocks.append(LmiBlock(np.zeros((n, n)), terms))
-    return AffineLmiSystem(n, tuple(blocks))
-
-
 def check_quadratic_stability(model, budget=None, margin=None):
     """Search for a common quadratic Lyapunov certificate.  Returns a
     StabilityCertificate or None (no certificate found within budget)."""
     kwargs = {} if budget is None else {"budget": budget}
-    result = solve_feasibility(stability_lmi_system(model), margin=margin, **kwargs)
+    result = solve_feasibility(family_system(model, "S"), margin=margin, **kwargs)
     if not result.feasible:
         return None
     kind = "quadratic_dt" if model.is_discrete else "quadratic_ct"
@@ -66,18 +45,14 @@ def check_quadratic_stability(model, budget=None, margin=None):
 
 def certificate_margin(model, P):
     """Negated worst-mode residual eigenvalue of a would-be certificate."""
-    return -max(max_eig(stability_residual(model, P, q)) for q in range(model.num_modes))
-
-
-def kronecker_stability_matrix(model):
-    return sum(np.kron(A.T, A.T) for A in model.A)
+    return -check_membership(model, P, "S").worst
 
 
 def check_strong_stability(model):
     """Spectral radius of the mode-summed Kronecker matrix; decisive."""
     if not model.is_discrete:
         raise ValueError("strong stability is a discrete-time notion")
-    T = kronecker_stability_matrix(model)
+    T = kron_sum(model.A).T
     dim = T.shape[0]
     if dim <= DENSE_EIG_LIMIT:
         radius = float(np.max(np.abs(np.linalg.eigvals(T))))
@@ -112,11 +87,7 @@ def strong_implies_quadratic_witness(model):
         raise InfeasibleError(
             f"model is not strongly stable (radius {report.kronecker_spectral_radius:.6g})"
         )
-    n = model.n
-    T = kronecker_stability_matrix(model)
-    vec = np.linalg.solve(np.eye(n * n) - T, np.eye(n).reshape(-1))
-    P = vec.reshape(n, n)
-    P = 0.5 * (P + P.T)
+    P = stein_solve(kron_sum(model.A).T, np.eye(model.n))
     if min_eig(P) <= 0:
         raise InfeasibleError("witness solve produced a non-PD matrix")
     return StabilityCertificate(P, certificate_margin(model, P), "quadratic_dt")

@@ -150,6 +150,19 @@ def test_missing_model_exits_one(tmp_path, capsys):
     assert main(["check", "--model", str(tmp_path / "nope.json")]) == 1
 
 
+def test_removed_certificate_source_exits_one(example1_path):
+    assert main(["grammians", "--model", example1_path, "--grammians", "certificate"]) == 1
+
+
+def test_bad_argument_exits_one(example1_path):
+    assert main(["reduce", "--model", example1_path, "--order", "abc"]) == 1
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "lssbalred" in capsys.readouterr().out
+
+
 def test_reports_are_deterministic_except_timestamp(example1_path, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

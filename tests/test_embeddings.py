@@ -15,11 +15,11 @@ from lssbalred import (
 )
 from lssbalred.balred import balance, truncate
 from lssbalred.embeddings import exhaustive_stochastic_energy, feasible_block_pair
-from lssbalred.grammians import averaged_residuals
 from lssbalred.model import pad_with_dead_states
 from lssbalred.realization import markov_match
 from lssbalred.simulate import _dt_run_batch
 from conftest import scalar_model, scalar_two_mode
+from residual_oracles import averaged_residuals
 
 
 class TestEmbeddingLayout:

@@ -10,7 +10,6 @@ from lssbalred import (
     check_membership,
     check_quadratic_stability,
     dual_system,
-    grammian_from_certificate,
     lmi_grammian,
     minimize_with_pair,
     nice_grammian_series_oracle,
@@ -20,10 +19,11 @@ from lssbalred import (
     transport_pair,
     truncated_hankel_square_sum,
 )
-from lssbalred.grammians import averaged_residuals, pair_margin
+from lssbalred.grammians import pair_margin
 from lssbalred.model import pad_with_dead_states
 from lssbalred.realization import is_minimal, reachable_subspace, unobservable_subspace
 from conftest import scalar_model, scalar_two_mode
+from residual_oracles import averaged_residuals
 
 # Frozen oracle values for example1 with P = Q = diag(2, 1, 0.5): max
 # eigenvalues of the hand-assembled residual matrices
@@ -71,37 +71,6 @@ class TestLmiGrammian:
         model = scalar_model("discrete", 1.5)
         with pytest.raises(InfeasibleError, match="no .* grammian|grammian"):
             lmi_grammian(model, "controllability", budget=300, tighten=False)
-
-
-class TestCertificateRoute:
-    def test_scalar_observability_scaling(self, ct_scalar):
-        cert = check_quadratic_stability(ct_scalar)
-        Q = grammian_from_certificate(cert, ct_scalar, "observability")
-        # certificate P = 1 has residual -2; largest usable gamma is 2, so the
-        # grammian lands just above P/2 scaled by the certificate magnitude
-        ratio = float(Q[0, 0]) / float(cert.P[0, 0])
-        assert 0.5 <= ratio <= 0.51
-        assert check_membership(ct_scalar, Q, "O").worst < 0
-
-    def test_scalar_controllability_symmetric_case(self, ct_scalar):
-        cert = check_quadratic_stability(ct_scalar)
-        P = grammian_from_certificate(cert, ct_scalar, "controllability")
-        assert check_membership(ct_scalar, P, "C").worst < 0
-        ratio = float(P[0, 0]) * float(cert.P[0, 0])
-        assert 0.5 <= ratio <= 0.51
-
-    def test_two_mode_generated_model(self):
-        model = random_stable_model("continuous", 3, 2, kind="quadratic", seed=19)
-        cert = check_quadratic_stability(model)
-        for kind, family in (("controllability", "C"), ("observability", "O")):
-            G = grammian_from_certificate(cert, model, kind)
-            assert check_membership(model, G, family).worst < 0
-
-    def test_invalid_certificate_rejected(self, ct_scalar):
-        from lssbalred.stability import StabilityCertificate
-        bad = StabilityCertificate(np.array([[-1.0]]), 0.0, "quadratic_ct")
-        with pytest.raises(ValueError):
-            grammian_from_certificate(bad, ct_scalar, "observability")
 
 
 class TestNiceGrammians:

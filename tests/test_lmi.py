@@ -7,11 +7,19 @@ from lssbalred import (
     AffineLmiSystem,
     LmiBlock,
     LmiTerm,
+    check_membership,
+    family_system,
     project_psd,
+    random_stable_model,
     schur_equivalence_check,
     solve_feasibility,
     tighten_trace,
 )
+from residual_oracles import family_residuals
+
+# Every constraint family in every time domain it is defined for.
+FAMILY_CASES = [(f, td) for f in ("S", "O", "C", "G") for td in ("continuous", "discrete")]
+FAMILY_CASES += [("Csum", "discrete"), ("Osum", "discrete")]
 
 
 def lyapunov_obs_block(A, C):
@@ -143,3 +151,32 @@ class TestSchurOracle:
     def test_singular_p_rejected(self):
         with pytest.raises(ValueError):
             schur_equivalence_check(np.eye(2), np.diag([1.0, 0.0]), np.eye(2), "ct")
+
+
+class TestFamilySystem:
+    @pytest.mark.parametrize("family,td", FAMILY_CASES)
+    def test_membership_matches_hand_written_oracle(self, family, td):
+        # m, p > 1 so the gain block has non-scalar off-diagonal parts
+        model = random_stable_model(td, 4, 3, m=2, p=3, seed=61)
+        gamma = 1.7 if family == "G" else None
+        rng = np.random.default_rng(62)
+        for _ in range(5):
+            K = rng.standard_normal((4, 4))
+            M = K + K.T
+            rep = check_membership(model, M, family, gamma)
+            blocks = family_system(model, family, gamma).evaluate(M)
+            oracle = family_residuals(model, M, family, gamma)
+            assert len(rep.mode_residuals) == len(blocks) == len(oracle)
+            for got, block, R in zip(rep.mode_residuals, blocks, oracle):
+                tol = 1e-10 * (1.0 + np.linalg.norm(R, 2))
+                assert abs(got - np.linalg.eigvalsh(0.5 * (R + R.T))[-1]) <= tol
+                np.testing.assert_allclose(block, R, rtol=0, atol=tol)
+
+    def test_summed_families_are_discrete_only(self, example1):
+        for family in ("Csum", "Osum"):
+            with pytest.raises(ValueError, match="discrete"):
+                family_system(example1, family)
+
+    def test_unknown_family_rejected(self, example1):
+        with pytest.raises(ValueError, match="unknown set"):
+            family_system(example1, "X")

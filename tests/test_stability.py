@@ -12,11 +12,11 @@ from lssbalred import (
     random_stable_model,
     strong_implies_quadratic_witness,
 )
-from lssbalred.grammians import grammian_lmi_system
-from lssbalred.lmi import solve_feasibility
+from lssbalred.lmi import family_system, solve_feasibility
 from lssbalred.model import pad_with_dead_states
-from lssbalred.stability import certificate_margin, stability_residual
+from lssbalred.stability import certificate_margin
 from conftest import scalar_model, scalar_two_mode
+from residual_oracles import stability_residual
 
 
 class TestQuadraticStability:
@@ -128,22 +128,20 @@ class TestLemmaChains:
                 assert G is not None
         # backward: grammian feasibility -> stability certificate
         model = random_stable_model("discrete", 3, 2, kind="quadratic", seed=23)
-        result = solve_feasibility(grammian_lmi_system(model, "observability"))
+        result = solve_feasibility(family_system(model, "O"))
         assert result.feasible
         assert check_quadratic_stability(model) is not None
 
     def test_strong_stability_implies_solver_feasibility(self):
-        from lssbalred.stability import stability_lmi_system
         for seed in range(5):
             model = random_stable_model("discrete", 3, 2, kind="strong", seed=seed)
-            result = solve_feasibility(stability_lmi_system(model))
+            result = solve_feasibility(family_system(model, "S"))
             assert result.feasible
 
     def test_solver_streams_diagnostics(self):
-        from lssbalred.stability import stability_lmi_system
         model = random_stable_model("discrete", 2, 2, kind="quadratic", seed=3)
         trace = []
-        solve_feasibility(stability_lmi_system(model),
+        solve_feasibility(family_system(model, "S"),
                           callback=lambda it, res: trace.append((it, res)))
         assert trace
         assert trace[0][0] == 1
