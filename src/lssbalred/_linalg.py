@@ -4,6 +4,8 @@ Everything here operates on plain float64 numpy arrays.  The rank
 tolerance convention is tau = max(rows, cols) * sigma_max * 1e-10.
 """
 
+import functools
+
 import numpy as np
 
 RANK_TOL_FACTOR = 1e-10
@@ -95,26 +97,39 @@ def stein_solve(T, G):
     return symmetrize(vec.reshape(n, n))
 
 
+@functools.lru_cache(maxsize=None)
+def svec_index(n):
+    """Row indices, column indices and scale factors of the svec entries of
+    an n x n matrix: the diagonal, then the strict upper triangle row by row
+    with scale sqrt(2).  Cached per n and read-only, so no caller can
+    corrupt a later call."""
+    iu = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    rows = np.concatenate([diag, iu[0]])
+    cols = np.concatenate([diag, iu[1]])
+    scale = np.concatenate([np.ones(n), np.full(iu[0].size, np.sqrt(2.0))])
+    for a in (rows, cols, scale):
+        a.setflags(write=False)
+    return rows, cols, scale
+
+
 def svec(M):
-    """Symmetric vectorization with sqrt(2)-scaled off-diagonals.
+    """Symmetric vectorization with sqrt(2)-scaled off-diagonals; a stack of
+    matrices (..., n, n) maps to a stack of vectors in one gather.
 
     Preserves the Frobenius inner product: <svec(A), svec(B)> = <A, B>_F.
     """
-    n = M.shape[0]
-    iu = np.triu_indices(n, 1)
-    out = np.empty(n * (n + 1) // 2)
-    out[:n] = np.diag(M)
-    out[n:] = np.sqrt(2.0) * M[iu]
-    return out
+    rows, cols, scale = svec_index(M.shape[-1])
+    return M[..., rows, cols] * scale
 
 
 def smat(v, n):
     """Inverse of :func:`svec`."""
-    M = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    np.fill_diagonal(M, v[:n])
-    M[iu] = v[n:] / np.sqrt(2.0)
-    M[(iu[1], iu[0])] = M[iu]
+    rows, cols, scale = svec_index(n)
+    u = v / scale
+    M = np.empty((n, n))
+    M[rows, cols] = u
+    M[cols, rows] = u
     return M
 
 
@@ -123,15 +138,11 @@ def svec_dim(n):
 
 
 def sym_basis(n):
-    """Orthonormal (Frobenius) basis of n x n symmetric matrices."""
-    out = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        out.append(E)
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-            out.append(E)
-    return out
+    """Orthonormal (Frobenius) basis of n x n symmetric matrices in svec
+    order, stacked as a (svec_dim(n), n, n) array."""
+    rows, cols, scale = svec_index(n)
+    a = np.arange(rows.size)
+    E = np.zeros((rows.size, n, n))
+    E[a, rows, cols] = 1.0 / scale
+    E[a, cols, rows] = 1.0 / scale
+    return E

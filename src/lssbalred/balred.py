@@ -142,7 +142,7 @@ def compute_pair(model, source="lmi", tighten=True, margin=None, budget=None):
     elif source == "nice":
         pair = nice_grammians(model)
     elif source == "averaged":
-        pair = averaged_grammians(model)
+        pair = averaged_grammians(model, margin=margin)
     else:
         raise ValueError(f"unknown grammian source {source!r}")
     return GrammianPair(pair.P_ctrl, pair.Q_obs, pair.provenance,

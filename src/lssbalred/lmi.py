@@ -12,10 +12,12 @@ grammian, gain and mode-summed sets) is written once, by
 :func:`family_system`; the solver and the membership checks both evaluate
 those blocks.  The solver runs Douglas-Rachford splitting between the
 affine graph {(P, F_1(P), ..., F_m(P))} and the product of shifted
-semidefinite cones; the graph projection is a least-squares solve in the
-symmetric vectorization, factorized once per system, and the cone
-projections clip eigenvalues.  It is heuristic-complete only: "infeasible"
-means no certificate was found within the iteration budget.
+semidefinite cones.  Compiling a system evaluates every block once on the
+stacked symmetric basis and precomputes the graph projector, so a sweep
+costs two matrix-vector products in the symmetric vectorization plus the
+small eigen-decompositions that clip onto the cones.  It is
+heuristic-complete only: "infeasible" means no certificate was found
+within the iteration budget.
 """
 
 from dataclasses import dataclass
@@ -40,7 +42,8 @@ MARGIN_SCALE_FACTOR = 1e-7
 @dataclass(frozen=True)
 class LmiTerm:
     """One bilinear coefficient pair: contributes L @ P @ R, plus the
-    transpose of that product when `symmetrize` is set."""
+    transpose of that product when `symmetrize` is set.  P may also be a
+    stack (..., n, n) of matrices."""
 
     left: np.ndarray
     right: np.ndarray
@@ -48,7 +51,7 @@ class LmiTerm:
 
     def apply(self, P):
         M = self.left @ P @ self.right
-        return M + M.T if self.symmetrize else M
+        return M + np.swapaxes(M, -1, -2) if self.symmetrize else M
 
 
 @dataclass(frozen=True)
@@ -91,16 +94,6 @@ class AffineLmiSystem:
             for t in b.terms:
                 s = max(s, float(np.linalg.norm(t.left, 2) * np.linalg.norm(t.right, 2)))
         return s
-
-    def check_wellformed(self, tol=1e-12, seed=0):
-        """Every block must map symmetric inputs to symmetric outputs."""
-        rng = np.random.default_rng(seed)
-        P = symmetrize(rng.standard_normal((self.n, self.n)))
-        for i, b in enumerate(self.blocks):
-            V = b.evaluate(P)
-            scale = max(1.0, float(np.max(np.abs(V))))
-            if float(np.max(np.abs(V - V.T))) > tol * scale:
-                raise ValueError(f"constraint block {i} violates symmetry")
 
     def with_extra_block(self, block):
         return AffineLmiSystem(self.n, self.blocks + (block,))
@@ -219,33 +212,55 @@ def project_psd(M, floor=0.0):
 
 
 class _CompiledSystem:
-    """svec-space matrices of all blocks plus the factorized graph solve."""
+    """A system in the symmetric vectorization, with its graph projector.
+
+    Each block's linear part is evaluated once on the stacked symmetric
+    basis, one batched product per term, and gathered into svec columns;
+    every basis image and constant must be symmetric to 1e-12 of its own
+    scale.  The block maps are stacked into one matrix M with stacked
+    constant c, so all block images of x are M x + c.  The projection of
+    (x, z) onto the graph {(a, M a + c)} is a = G^-1 (x + M^T (z - c)) with
+    Gram matrix G = I + M^T M >= I; G^-1 comes from one Cholesky factor per
+    compile, so projecting is one matvec on the stacked target [x; z] minus
+    a fixed offset.
+    """
 
     def __init__(self, sys):
         n = sys.n
+        d = svec_dim(n)
         basis = sym_basis(n)
-        self.n = n
-        self.maps = []
-        self.consts = []
-        gram = np.eye(svec_dim(n))
-        for b in sys.blocks:
-            k = b.size
-            zero = b.evaluate(np.zeros((n, n)))
-            M = np.empty((svec_dim(k), svec_dim(n)))
-            for a, E in enumerate(basis):
-                M[:, a] = svec(symmetrize(b.evaluate(E) - zero))
-            c = svec(symmetrize(zero))
-            self.maps.append(M)
-            self.consts.append(c)
-            gram += M.T @ M
-        self.chol = np.linalg.cholesky(gram)
+        self.blocks = []  # (slice of the stacked images, block size)
+        maps, consts = [], []
+        start = 0
+        for i, b in enumerate(sys.blocks):
+            images = sum(t.apply(basis) for t in b.terms)
+            if _asymmetric(images) or _asymmetric(b.constant[None]):
+                raise ValueError(f"constraint block {i} violates symmetry")
+            maps.append(svec(0.5 * (images + images.swapaxes(1, 2))).T)
+            consts.append(svec(symmetrize(b.constant)))
+            self.blocks.append((slice(start, start + svec_dim(b.size)), b.size))
+            start += svec_dim(b.size)
+        self.maps = np.vstack(maps)
+        self.consts = np.concatenate(consts)
+        chol_inv = np.linalg.inv(np.linalg.cholesky(np.eye(d) + self.maps.T @ self.maps))
+        gram_inv = chol_inv.T @ chol_inv
+        self.projector = np.hstack([gram_inv, gram_inv @ self.maps.T])
+        self.offset = self.projector[:, d:] @ self.consts
 
-    def graph_project(self, x_target, z_targets):
-        rhs = x_target.copy()
-        for M, c, z in zip(self.maps, self.consts, z_targets):
-            rhs += M.T @ (z - c)
-        y = np.linalg.solve(self.chol, rhs)
-        return np.linalg.solve(self.chol.T, y)
+    def images(self, x):
+        """Stacked svec images of all blocks at svec point x."""
+        return self.maps @ x + self.consts
+
+    def graph_project(self, x, z):
+        """Nearest graph point to (x, z), z the stacked block targets."""
+        return self.projector @ np.concatenate((x, z)) - self.offset
+
+
+def _asymmetric(stack, tol=1e-12):
+    """Whether any matrix of a (count, k, k) stack is asymmetric beyond tol
+    times its own scale max(1, max |entry|)."""
+    defect = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2))
+    return bool(np.any(defect > tol * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))))
 
 
 def _clip_spectrum(M, floor=None, ceiling=None):
@@ -263,15 +278,14 @@ def solve_feasibility(sys, budget=DEFAULT_BUDGET, margin=None, start=None,
 
     Douglas-Rachford splitting between the affine graph
     {(P, F_1(P), ..., F_m(P))} and the product of shifted semidefinite cones;
-    the graph projection is one pre-factorized least-squares solve, the cone
-    projections clip eigenvalues.  Feasibility is tested on the graph point
-    each sweep, so `status="feasible"` guarantees that re-evaluating the
-    blocks at the returned P gives max eigenvalue <= -margin and
-    min eig(P) >= margin.  A negative result means the budget ran out or the
+    the graph projection is one matvec with the projector precomputed when
+    the system is compiled, the cone projections clip eigenvalues.
+    Feasibility is tested on the graph point each sweep, so
+    `status="feasible"` guarantees that re-evaluating the blocks at the
+    returned P gives max eigenvalue <= -margin and min eig(P) >= margin.  A negative result means the budget ran out or the
     violation stopped improving for `stall_window` sweeps; neither is a
     certificate of infeasibility.
     """
-    sys.check_wellformed()
     n = sys.n
     scale = sys.data_scale()
     if margin is None:
@@ -287,9 +301,8 @@ def solve_feasibility(sys, budget=DEFAULT_BUDGET, margin=None, start=None,
     else:
         P0 = np.eye(n)
     xi_x = svec(P0)
-    xi_z = [M @ xi_x + c for M, c in zip(compiled.maps, compiled.consts)]
+    xi_z = compiled.images(xi_x)
 
-    sizes = [b.size for b in sys.blocks]
     best_violation = np.inf
     best_P = None
     iterations = 0
@@ -299,9 +312,9 @@ def solve_feasibility(sys, budget=DEFAULT_BUDGET, margin=None, start=None,
         iterations = it
         # Projection onto the affine graph.
         ax = compiled.graph_project(xi_x, xi_z)
-        az = [M @ ax + c for M, c in zip(compiled.maps, compiled.consts)]
+        az = compiled.images(ax)
         P = smat(ax, n)
-        res = max(max_eig(smat(z, k)) for z, k in zip(az, sizes))
+        res = max(max_eig(smat(az[s], k)) for s, k in compiled.blocks)
         pmin = min_eig(P)
         violation = max(res + margin, margin - pmin)
         if violation < best_violation:
@@ -319,9 +332,11 @@ def solve_feasibility(sys, budget=DEFAULT_BUDGET, margin=None, start=None,
         # Reflect, project onto the cones, average.
         bx = svec(_clip_spectrum(smat(2.0 * ax - xi_x, n), floor=deep))
         xi_x = xi_x + bx - ax
-        for i, (z, k) in enumerate(zip(az, sizes)):
-            bz = svec(_clip_spectrum(smat(2.0 * z - xi_z[i], k), ceiling=-deep))
-            xi_z[i] = xi_z[i] + bz - z
+        rz = 2.0 * az - xi_z
+        bz = np.empty_like(az)
+        for s, k in compiled.blocks:
+            bz[s] = svec(_clip_spectrum(smat(rz[s], k), ceiling=-deep))
+        xi_z = xi_z + bz - az
 
     res = sys.residual(best_P) if best_P is not None else np.inf
     return FeasibilityResult("infeasible_within_budget", None, res, iterations, margin)

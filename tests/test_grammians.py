@@ -9,6 +9,7 @@ from lssbalred import (
     averaged_grammians,
     check_membership,
     check_quadratic_stability,
+    compute_pair,
     dual_system,
     lmi_grammian,
     minimize_with_pair,
@@ -179,6 +180,16 @@ class TestAveraged:
         # summed feasibility implies plain per-mode membership
         assert check_membership(model, pair.P_ctrl, "C").worst < 0
         assert check_membership(model, pair.Q_obs, "O").worst < 0
+
+    def test_compute_pair_passes_margin(self):
+        model = random_stable_model("discrete", 3, 2, kind="strong", seed=9)
+        pair = compute_pair(model, "averaged", margin=1e-2)
+        ref = averaged_grammians(model, margin=1e-2)
+        np.testing.assert_array_equal(pair.P_ctrl, ref.P_ctrl)
+        np.testing.assert_array_equal(pair.Q_obs, ref.Q_obs)
+        # the strict margin c = 2 * margin makes both summed residuals -c I
+        for R in averaged_residuals(model, pair.P_ctrl, pair.Q_obs):
+            assert np.max(np.abs(R + 2e-2 * np.eye(3))) <= 1e-10 * 2e-2
 
     def test_expanding_pair_infeasible(self):
         model = scalar_two_mode("discrete", 0.8, 0.8)

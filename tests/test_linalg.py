@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from lssbalred._linalg import (
     smat,
     svec,
     svec_dim,
+    svec_index,
     sym_basis,
     symmetrize,
 )
@@ -42,6 +44,21 @@ def test_sym_basis_is_orthonormal():
             expect = np.zeros(len(basis))
             expect[a] = 1.0
             np.testing.assert_allclose(v, expect, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_cached_index_maps_round_trip_and_are_read_only(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((3, n, n))
+    stack = stack + stack.swapaxes(1, 2)
+    for _ in range(2):  # the second pass reads the cached maps
+        for M, v in zip(stack, svec(stack)):
+            np.testing.assert_array_equal(v, svec(M))
+            np.testing.assert_allclose(smat(v, n), M, atol=1e-14)
+    for cached in svec_index(n):
+        with pytest.raises(ValueError):
+            cached[0] = 0
+    assert sym_basis(n).shape == (svec_dim(n), n, n)
 
 
 @settings(max_examples=50, deadline=None)

@@ -15,6 +15,8 @@ from lssbalred import (
     solve_feasibility,
     tighten_trace,
 )
+from lssbalred._linalg import svec, svec_dim, sym_basis, symmetrize
+from lssbalred.lmi import _CompiledSystem, _trace_cap_block
 from residual_oracles import family_residuals
 
 # Every constraint family in every time domain it is defined for.
@@ -31,6 +33,32 @@ def stein_block(A):
     """A^T P A - P."""
     n = A.shape[0]
     return LmiBlock(np.zeros((n, n)), (LmiTerm(A.T, A), LmiTerm(-np.eye(n), np.eye(n))))
+
+
+def compile_oracle(sys):
+    """Stacked svec maps and constants of all blocks, one basis matrix at a
+    time: column a of a block's map is svec(F(E_a) - F(0))."""
+    n = sys.n
+    maps, consts = [], []
+    for b in sys.blocks:
+        zero = b.evaluate(np.zeros((n, n)))
+        M = np.empty((svec_dim(b.size), svec_dim(n)))
+        for a, E in enumerate(sym_basis(n)):
+            M[:, a] = svec(symmetrize(b.evaluate(E) - zero))
+        maps.append(M)
+        consts.append(svec(symmetrize(zero)))
+    return np.vstack(maps), np.concatenate(consts)
+
+
+def compile_cases():
+    """Every family in both time domains (m, p > 1), plus a trace cap."""
+    for family, td in FAMILY_CASES:
+        model = random_stable_model(td, 4, 3, m=2, p=3, seed=71)
+        sys = family_system(model, family, 1.7 if family == "G" else None)
+        yield pytest.param(sys, id=f"{family}-{td}")
+    model = random_stable_model("discrete", 4, 2, seed=72)
+    sys = family_system(model, "O").with_extra_block(_trace_cap_block(4, 3.0))
+    yield pytest.param(sys, id="O-discrete-trace-cap")
 
 
 class TestProjectPsd:
@@ -90,6 +118,19 @@ class TestSolveFeasibility:
         P = float(result.solution[0, 0])
         assert P >= 0.5
         assert -2.0 * P + 1.0 <= -1e-6
+
+    @pytest.mark.parametrize("bad", [
+        # L P R with L != R^T
+        LmiBlock(np.zeros((2, 2)), (LmiTerm(np.array([[1.0, 0.0], [3.0, 1.0]]), np.eye(2)),)),
+        # asymmetric only in the off-diagonal basis direction
+        LmiBlock(np.zeros((2, 2)), (LmiTerm(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),)),
+        # symmetric terms, asymmetric constant
+        LmiBlock(np.array([[0.0, 1.0], [0.0, 0.0]]), (LmiTerm(-np.eye(2), np.eye(2)),)),
+    ], ids=["left-not-right-transpose", "one-direction", "constant"])
+    def test_nonsymmetric_block_is_rejected(self, bad):
+        good = stein_block(np.diag([0.5, 0.2]))
+        with pytest.raises(ValueError, match="constraint block 1 violates symmetry"):
+            solve_feasibility(AffineLmiSystem(2, (good, bad)))
 
     def test_asymmetric_map_is_rejected(self):
         bad = LmiBlock(np.zeros((2, 2)),
@@ -180,3 +221,30 @@ class TestFamilySystem:
     def test_unknown_family_rejected(self, example1):
         with pytest.raises(ValueError, match="unknown set"):
             family_system(example1, "X")
+
+
+class TestCompiledSystem:
+    @pytest.mark.parametrize("sys", compile_cases())
+    def test_maps_and_constants_match_per_basis_oracle(self, sys):
+        compiled = _CompiledSystem(sys)
+        maps, consts = compile_oracle(sys)
+        scale = max(1.0, np.max(np.abs(maps)), np.max(np.abs(consts)))
+        np.testing.assert_allclose(compiled.maps, maps, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(compiled.consts, consts, rtol=0, atol=1e-13 * scale)
+        sizes = [b.size for b in sys.blocks]
+        assert [k for _, k in compiled.blocks] == sizes
+        assert compiled.blocks[-1][0].stop == sum(svec_dim(k) for k in sizes) == maps.shape[0]
+
+    @pytest.mark.parametrize("sys", compile_cases())
+    def test_graph_projection_is_least_squares(self, sys):
+        compiled = _CompiledSystem(sys)
+        maps, consts = compile_oracle(sys)
+        d = svec_dim(sys.n)
+        rng = np.random.default_rng(73)
+        for _ in range(3):
+            x = rng.standard_normal(d)
+            z = rng.standard_normal(maps.shape[0])
+            stacked = np.vstack([np.eye(d), maps])
+            expect = np.linalg.lstsq(stacked, np.concatenate([x, z - consts]), rcond=None)[0]
+            got = compiled.graph_project(x, z)
+            assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
