@@ -5,6 +5,7 @@ tolerance convention is tau = max(rows, cols) * sigma_max * 1e-10.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -95,6 +96,22 @@ def stein_solve(T, G):
     n = G.shape[0]
     vec = np.linalg.solve(np.eye(n * n) - T, G.reshape(-1))
     return symmetrize(vec.reshape(n, n))
+
+
+def expm(M):
+    """Matrix exponential by scaling and squaring: the degree-18 Taylor
+    polynomial (Horner form) of X = M / 2^s with ||X||_1 <= 1, whose
+    truncation error is below 1/19! ~ 8e-18, squared s times."""
+    norm = float(np.linalg.norm(M, 1))
+    s = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
+    X = M / 2.0**s
+    eye = np.eye(M.shape[0])
+    E = eye
+    for k in range(18, 0, -1):
+        E = eye + (X @ E) / k
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 @functools.lru_cache(maxsize=None)

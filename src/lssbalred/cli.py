@@ -27,7 +27,6 @@ from .simulate import (
     empirical_gain,
     random_input_batch,
     random_switching,
-    signal_l2_norm,
     simulate,
     steps_from_signal,
     verify_error_bound,
@@ -209,11 +208,10 @@ def cmd_simulate(args, model):
     steps = steps_from_signal(signal, h=h)
     u = random_input_batch(rng, 1, steps.size, model.m, model.time_domain, h=h)[0]
     traj = simulate(model, u, signal, h=h)
-    ynorm = signal_l2_norm(traj.outputs, h=h)
     result = {
         "horizon": float(horizon),
         "steps": int(steps.size),
-        "output_l2_norm": float(ynorm),
+        "output_l2_norm": traj.output_norm,
         "input_l2_norm": float(zoh_input_norm(traj.inputs, h=h)),
         "switching": {
             "modes": [int(q) + 1 for q in signal.modes],

@@ -2,13 +2,15 @@
 trajectory-level verification of the energy inequalities and of the
 a-priori truncation error bound.
 
-Discrete-time simulation is the exact recursion x(t+1) = A_q x(t) + B_q u(t)
-from the zero initial state.  Continuous-time simulation uses fixed-step
-classical Runge-Kutta with the input held constant over each step
-(zero-order hold sampled on the integrator grid); the step must divide every
-dwell time so mode switches land on grid points.  Monte Carlo style
-estimates are batched over trials; every estimate is a certified lower bound
-carrying a replayable witness.
+Every run goes through one recursion x(t+1) = A_q x(t) + B_q u(t) from the
+zero initial state.  Continuous time holds the input constant over each
+step of length h, which must divide every dwell time so mode switches land
+on grid points; each step is then the exact zero-order-hold discretization
+of its mode, and the output energy of the step is an exact quadratic form
+(Van Loan's block exponential).  Norms are therefore exact in both time
+domains, with no integration error.  Monte Carlo style estimates are
+batched over trials; every estimate is a certified lower bound carrying a
+replayable witness.
 """
 
 import math
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CONTINUOUS, DISCRETE, SwitchingSignal
+from ._linalg import expm, symmetrize
+from .model import CONTINUOUS, DISCRETE, LssModel, SwitchingSignal
 from .stability import certificate_margin
 
 DWELL_ALIGN_TOL = 1e-9
@@ -27,11 +30,14 @@ HORIZON_CAP = 10**5
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of a switched model from the zero initial state.
+    """Solution of a switched model from the zero initial state.
 
     Discrete time: states has N+1 rows, outputs and inputs N rows.
-    Continuous time: states and outputs have N+1 rows (grid t = 0 .. N*h),
-    inputs N rows (value held on [t_k, t_k+1)).
+    Continuous time: states and outputs have N+1 rows, the exact samples at
+    t = 0 .. N*h (the last output uses the final mode), inputs N rows (value
+    held on [t_k, t_k+1)).  energy has N rows: the output energy of each
+    step, |y(t)|^2 in discrete time and the exact integral of |y|^2 over
+    [t_k, t_k+1) in continuous time.
     """
 
     times: np.ndarray
@@ -40,6 +46,12 @@ class Trajectory:
     inputs: np.ndarray
     switching: SwitchingSignal
     h: float | None = None
+    energy: np.ndarray = None
+
+    @property
+    def output_norm(self):
+        """Exact l2 (discrete) or L2 (continuous, over [0, N*h]) output norm."""
+        return float(_norm(self.energy))
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,7 @@ def run_trials(count, fn):
 
 
 # ---------------------------------------------------------------------------
-# Switching-signal expansion and core integrators
+# Switching-signal expansion and the one recursion
 # ---------------------------------------------------------------------------
 
 
@@ -127,59 +139,98 @@ def steps_from_signal(signal, h=None, horizon=None):
     return modes
 
 
-def _dt_run_batch(model, modeseq, u):
-    """Batched exact recursion.  modeseq (R, N) ints, u (R, N, m);
-    returns states (R, N+1, n) and outputs (R, N, p)."""
-    A = np.stack(model.A)
-    B = np.stack(model.B)
-    C = np.stack(model.C)
+def _recur(A, B, C, modeseq, u):
+    """The one time-stepping loop: x(t+1) = A_q x(t) + B_q u(t), y(t) = C_q x(t)
+    from x(0) = 0, with q = modeseq[:, t].  A, B, C are per-mode stacks;
+    modeseq (R, N) ints, u (R, N, m); returns states (R, N+1, n) and outputs
+    (R, N, p)."""
     R, N = modeseq.shape
-    n, p = model.n, model.p
-    states = np.zeros((R, N + 1, n))
-    outputs = np.zeros((R, N, p))
-    x = np.zeros((R, n))
+    states = np.zeros((R, N + 1, A.shape[1]))
+    outputs = np.zeros((R, N, C.shape[1]))
+    x = np.zeros((R, A.shape[1], 1))
     for t in range(N):
         q = modeseq[:, t]
-        outputs[:, t] = np.einsum("rij,rj->ri", C[q], x)
-        x = np.einsum("rij,rj->ri", A[q], x) + np.einsum("rij,rj->ri", B[q], u[:, t])
-        states[:, t + 1] = x
+        outputs[:, t] = (C[q] @ x)[..., 0]
+        x = A[q] @ x + B[q] @ u[:, t, :, None]
+        states[:, t + 1] = x[..., 0]
     return states, outputs
+
+
+def _zoh(model, h):
+    """Exact zero-order-hold step of length h for every mode (Van Loan, IEEE
+    TAC 1978).  With M = [[A, B], [0, 0]] and Ch = [C, 0],
+    exp(h [[-M^T, Ch^T Ch], [0, M]]) = [[., F], [0, E]] with
+    E = exp(hM) = [[A_d, B_d], [0, I]], and W = E^T F integrates
+    exp(sM^T) Ch^T Ch exp(sM) over [0, h]: a step from state x under held
+    input u has output energy [x; u]^T W [x; u].  The block is exponentiated
+    over h / 2^s, where its exp(-M^T h / 2^s) corner stays of order one, and
+    then doubled, so W stays accurate for stiff modes.
+
+    Returns the stacks A_d, B_d and, per mode, an equivalent discrete output
+    G = [C_d, D_d] with G^T G = W, so the step energy is |G [x; u]|^2.  G
+    drops the eigenvalues of W under 64 k eps lambda_max (k = n + m), its
+    rounding level, so when y is a difference of equal outputs the energy
+    cancels to rounding error instead of to its square root."""
+    n, k = model.n, model.n + model.m
+    Ad, Bd, G = [], [], []
+    for A, B, C in zip(model.A, model.B, model.C):
+        M = np.zeros((k, k))
+        M[:n] = np.hstack([A, B])
+        Ch = np.hstack([C, np.zeros((C.shape[0], model.m))])
+        s = int(h * np.linalg.norm(M, 1)).bit_length()  # h ||M|| / 2^s < 1
+        F = expm(h / 2**s * np.block([[-M.T, Ch.T @ Ch], [np.zeros((k, k)), M]]))
+        E, W = F[k:, k:], F[k:, k:].T @ F[:k, k:]
+        for _ in range(s):  # W(2t) = W(t) + E(t)^T W(t) E(t), E(2t) = E(t)^2
+            W, E = W + E.T @ W @ E, E @ E
+        Ad.append(E[:n, :n])
+        Bd.append(E[:n, n:])
+        lam, V = np.linalg.eigh(symmetrize(W))
+        keep = lam > 64 * k * np.finfo(float).eps * max(lam[-1], 0.0)
+        G.append(np.sqrt(lam[keep])[:, None] * V[:, keep].T)
+    return np.stack(Ad), np.stack(Bd), G
+
+
+def _dt_run_batch(model, modeseq, u):
+    """Batched discrete-time recursion: states (R, N+1, n), outputs (R, N, p)."""
+    return _recur(np.stack(model.A), np.stack(model.B), np.stack(model.C), modeseq, u)
 
 
 def _ct_run_batch(model, modeseq, u, h):
-    """Batched fixed-step RK4 with zero-order-hold input.  Returns states
-    (R, N+1, n) and outputs (R, N+1, p); the final output sample reuses the
-    last active mode."""
-    A = np.stack(model.A)
-    B = np.stack(model.B)
+    """Batched continuous-time run on the grid t_k = k h, stepped by the
+    exact zero-order-hold discretization.  Returns states (R, N+1, n) and
+    output samples (R, N+1, p); the final sample uses the last active mode."""
+    Ad, Bd, _ = _zoh(model, h)
     C = np.stack(model.C)
-    R, N = modeseq.shape
-    n, p = model.n, model.p
-    states = np.zeros((R, N + 1, n))
-    outputs = np.zeros((R, N + 1, p))
-    x = np.zeros((R, n))
-    for t in range(N):
-        q = modeseq[:, t]
-        At = A[q]
-        outputs[:, t] = np.einsum("rij,rj->ri", C[q], x)
-        bu = np.einsum("rij,rj->ri", B[q], u[:, t])
-        k1 = np.einsum("rij,rj->ri", At, x) + bu
-        k2 = np.einsum("rij,rj->ri", At, x + (0.5 * h) * k1) + bu
-        k3 = np.einsum("rij,rj->ri", At, x + (0.5 * h) * k2) + bu
-        k4 = np.einsum("rij,rj->ri", At, x + h * k3) + bu
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[:, t + 1] = x
-    outputs[:, N] = np.einsum("rij,rj->ri", C[modeseq[:, N - 1]], x)
-    return states, outputs
+    states, outputs = _recur(Ad, Bd, C, modeseq, u)
+    last = C[modeseq[:, -1]] @ states[:, -1, :, None]
+    return states, np.concatenate([outputs, last.transpose(0, 2, 1)], axis=1)
+
+
+def _run(model, modeseq, u, h):
+    """States, output samples and the exact output energy of every step
+    (R, N): |y(t)|^2 in discrete time, the integral of |y|^2 over the step
+    in continuous time."""
+    if model.is_discrete:
+        states, outputs = _dt_run_batch(model, modeseq, u)
+        return states, outputs, np.sum(outputs**2, axis=2)
+    states, outputs = _ct_run_batch(model, modeseq, u, h)
+    xu = np.concatenate([states[:, :-1], u], axis=2)
+    energy = np.empty(modeseq.shape)
+    for q, G in enumerate(_zoh(model, h)[2]):
+        sel = modeseq == q
+        energy[sel] = np.sum((xu[sel] @ G.T) ** 2, axis=1)
+    return states, outputs, energy
 
 
 def simulate(model, u, signal, horizon=None, h=None):
     """One trajectory of the model from x(0) = 0 under input samples u and
     switching signal `signal`.
 
-    Discrete time runs the plain recursion in natural operation order.
-    Continuous time integrates each step with RK4 and the input held
-    constant; u must be sampled on the integrator grid (one row per step).
+    Discrete time runs the recursion x(t+1) = A_q x(t) + B_q u(t).
+    Continuous time holds each input row constant over one step of length h
+    (one row per step) and runs the exact zero-order-hold discretization of
+    each mode, so states and output samples on the grid and the output
+    energy carry no integration error.
     """
     signal.validate_against(model)
     if model.is_discrete and signal.time_domain != DISCRETE:
@@ -193,24 +244,11 @@ def simulate(model, u, signal, horizon=None, h=None):
         u = u[:, None]
     if u.shape != (N, model.m):
         raise ValueError(f"input must have shape {(N, model.m)}, got {u.shape}")
-
     if model.is_discrete:
-        n, p = model.n, model.p
-        states = np.zeros((N + 1, n))
-        outputs = np.zeros((N, p))
-        x = np.zeros(n)
-        for t in range(N):
-            q = int(modes[t])
-            A, B, C = model.mode(q)
-            outputs[t] = C @ x
-            x = A @ x + B @ u[t]
-            states[t + 1] = x
-        times = np.arange(N + 1, dtype=float)
-        return Trajectory(times, states, outputs, u, signal, None)
-
-    states, outputs = _ct_run_batch(model, modes[None, :], u[None, :, :], h)
-    times = h * np.arange(N + 1, dtype=float)
-    return Trajectory(times, states[0], outputs[0], u, signal, h)
+        h = None
+    states, outputs, energy = _run(model, modes[None, :], u[None, :, :], h)
+    times = np.arange(N + 1, dtype=float) * (1.0 if h is None else h)
+    return Trajectory(times, states[0], outputs[0], u, signal, h, energy[0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +256,15 @@ def simulate(model, u, signal, horizon=None, h=None):
 # ---------------------------------------------------------------------------
 
 
-def signal_l2_norm(samples, h=None):
-    """l2 norm of a sampled signal: exact partial sum in discrete time
-    (h=None); trapezoidal quadrature in continuous time, whose
-    discretization error is O(h^2) for smooth signals."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        sq = samples**2
-    else:
-        sq = np.sum(samples**2, axis=1)
-    if h is None:
-        return float(np.sqrt(np.sum(sq)))
-    if sq.size < 2:
-        return 0.0
-    total = h * (np.sum(sq) - 0.5 * (sq[0] + sq[-1]))
-    return float(np.sqrt(max(total, 0.0)))
+def _norm(energy):
+    """Norms from per-step energies (..., N); rounding can leave an energy
+    that is exactly zero slightly negative."""
+    return np.sqrt(np.maximum(np.sum(energy, axis=-1), 0.0))
+
+
+def signal_l2_norm(samples):
+    """l2 norm of a discrete-time signal (one sample per row)."""
+    return float(np.sqrt(np.sum(np.asarray(samples, dtype=float) ** 2)))
 
 
 def zoh_input_norm(u, h=None):
@@ -242,15 +274,9 @@ def zoh_input_norm(u, h=None):
     return math.sqrt(total if h is None else h * total)
 
 
-def _batch_norms(sq_sums, h, trapezoid):
-    """Norms of a batch given per-sample squared magnitudes (R, N[+1])."""
-    if h is None:
-        return np.sqrt(np.sum(sq_sums, axis=1))
-    if trapezoid:
-        tot = h * (np.sum(sq_sums, axis=1) - 0.5 * (sq_sums[:, 0] + sq_sums[:, -1]))
-    else:
-        tot = h * np.sum(sq_sums, axis=1)
-    return np.sqrt(np.maximum(tot, 0.0))
+def _input_energy(model, u, h):
+    """Per-step input energy (R, N) of held inputs u (R, N, m)."""
+    return np.sum(u**2, axis=2) * (1.0 if model.is_discrete else h)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +286,7 @@ def _batch_norms(sq_sums, h, trapezoid):
 
 def random_switching(D, time_domain, rng, horizon, h=None, mean_dwell=None):
     """Random switching signal covering the horizon: i.i.d. uniform modes per
-    step in discrete time, exponential dwell times snapped to the integrator
+    step in discrete time, exponential dwell times snapped to the simulation
     grid in continuous time (so the step always divides every dwell)."""
     if time_domain == DISCRETE:
         return SwitchingSignal(DISCRETE, tuple(int(q) for q in rng.integers(0, D, int(horizon))))
@@ -282,9 +308,13 @@ def random_input_batch(rng, trials, N, m, time_domain, h=None):
     sinusoids in continuous time."""
     if time_domain == DISCRETE:
         u = rng.standard_normal((trials, N, m))
-        poles = rng.uniform(0.0, 0.97, size=trials)
-        for t in range(1, N):
-            u[:, t] += poles[:, None] * u[:, t - 1]
+        poles = rng.uniform(0.0, 0.97, size=trials)[:, None, None]
+        # AR(1) filter u(t) += pole u(t-1) as a doubling scan: after the pass
+        # with shift k, u(t) sums pole^j times the noise at t-j for j < 2k
+        shift = 1
+        while shift < N:
+            u[:, shift:] += poles * u[:, :-shift]
+            shift, poles = 2 * shift, poles**2
         u += (rng.uniform(-2.0, 2.0, size=(trials, 1, m))
               * rng.uniform(0.0, 1.0, size=(trials, 1, 1)) ** 2)
         norms = np.sqrt(np.sum(u**2, axis=(1, 2)))
@@ -308,12 +338,17 @@ def random_input_batch(rng, trials, N, m, time_domain, h=None):
 def _batch_signals(model, rng, trials, horizon, h, cutoff=None):
     """Random (mode sequences, inputs) for a batch of trials; with `cutoff`
     the inputs are zeroed from a random index on (returned as well)."""
+    if trials < 1:
+        raise ValueError(f"at least one trial is needed, got {trials}")
+    if not model.is_discrete and (h is None or h <= 0):
+        raise ValueError("continuous-time simulation requires a positive step h")
+    N = int(horizon) if model.is_discrete else round(horizon / h)
+    if N < 1:
+        raise ValueError(f"horizon {horizon} is shorter than one step")
     D = model.num_modes
     if model.is_discrete:
-        N = int(horizon)
         modeseq = rng.integers(0, D, size=(trials, N))
     else:
-        N = round(horizon / h)
         modeseq = np.empty((trials, N), dtype=int)
         for r in range(trials):
             sig = random_switching(D, CONTINUOUS, rng, horizon, h=h)
@@ -327,8 +362,20 @@ def _batch_signals(model, rng, trials, horizon, h, cutoff=None):
     return modeseq, u, cut
 
 
-def _output_sq(outputs):
-    return np.sum(outputs**2, axis=2)
+def _estimate(model, trials, horizon, h, modeseq, u, energy):
+    """Largest output/input norm ratio of a batch, with its witness."""
+    ratios = _norm(energy) / np.maximum(_norm(_input_energy(model, u, h)), 1e-30)
+    best = int(np.argmax(ratios))
+    return GainEstimate(
+        float(ratios[best]), best, trials, horizon,
+        witness_input=u[best],
+        witness_switching=_signal_from_steps(model, modeseq[best], h),
+    )
+
+
+def _from_cut(energy, cut):
+    """Per-step energies (R, N) with the steps before each trial's cut zeroed."""
+    return energy * (np.arange(energy.shape[1])[None, :] >= cut[:, None])
 
 
 def empirical_gain(model, trials, horizon, seed, h=None):
@@ -336,21 +383,8 @@ def empirical_gain(model, trials, horizon, seed, h=None):
     Deterministic given the seed; always at most the true gain."""
     rng = np.random.default_rng(seed)
     modeseq, u, _ = _batch_signals(model, rng, trials, horizon, h)
-    if model.is_discrete:
-        _, outputs = _dt_run_batch(model, modeseq, u)
-        ynorm = _batch_norms(_output_sq(outputs), None, False)
-        unorm = np.sqrt(np.sum(u**2, axis=(1, 2)))
-    else:
-        _, outputs = _ct_run_batch(model, modeseq, u, h)
-        ynorm = _batch_norms(_output_sq(outputs), h, True)
-        unorm = np.sqrt(h * np.sum(u**2, axis=(1, 2)))
-    ratios = ynorm / np.maximum(unorm, 1e-30)
-    best = int(np.argmax(ratios))
-    return GainEstimate(
-        float(ratios[best]), best, trials, horizon,
-        witness_input=u[best],
-        witness_switching=_signal_from_steps(model, modeseq[best], h),
-    )
+    _, _, energy = _run(model, modeseq, u, h)
+    return _estimate(model, trials, horizon, h, modeseq, u, energy)
 
 
 def empirical_hankel_gain(model, trials, horizon, seed, h=None):
@@ -358,42 +392,17 @@ def empirical_hankel_gain(model, trials, horizon, seed, h=None):
     random cutoff and only the output energy from the cutoff on counts."""
     rng = np.random.default_rng(seed)
     modeseq, u, cut = _batch_signals(model, rng, trials, horizon, h, cutoff=True)
-    if model.is_discrete:
-        _, outputs = _dt_run_batch(model, modeseq, u)
-        sq = _output_sq(outputs)
-        mask = np.arange(sq.shape[1])[None, :] >= cut[:, None]
-        ynorm = np.sqrt(np.sum(sq * mask, axis=1))
-        unorm = np.sqrt(np.sum(u**2, axis=(1, 2)))
-    else:
-        _, outputs = _ct_run_batch(model, modeseq, u, h)
-        sq = _output_sq(outputs)
-        ynorm = np.empty(trials)
-        for r in range(trials):
-            tail = sq[r, cut[r]:]
-            ynorm[r] = math.sqrt(
-                max(h * (np.sum(tail) - 0.5 * (tail[0] + tail[-1])), 0.0)
-            ) if tail.size > 1 else 0.0
-        unorm = np.sqrt(h * np.sum(u**2, axis=(1, 2)))
-    ratios = ynorm / np.maximum(unorm, 1e-30)
-    best = int(np.argmax(ratios))
-    return GainEstimate(
-        float(ratios[best]), best, trials, horizon,
-        witness_input=u[best],
-        witness_switching=_signal_from_steps(model, modeseq[best], h),
-    )
+    _, _, energy = _run(model, modeseq, u, h)
+    return _estimate(model, trials, horizon, h, modeseq, u, _from_cut(energy, cut))
 
 
 def _signal_from_steps(model, steps, h):
     if model.is_discrete:
         return SwitchingSignal(DISCRETE, tuple(int(q) for q in steps))
-    modes, dwells = [], []
-    for q in steps:
-        if modes and modes[-1] == int(q):
-            dwells[-1] += h
-        else:
-            modes.append(int(q))
-            dwells.append(h)
-    return SwitchingSignal(CONTINUOUS, tuple(modes), tuple(dwells))
+    starts = np.flatnonzero(np.diff(steps, prepend=-1))
+    counts = np.diff(starts, append=steps.size)
+    return SwitchingSignal(CONTINUOUS, tuple(int(q) for q in steps[starts]),
+                           tuple(float(c * h) for c in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -401,79 +410,53 @@ def _signal_from_steps(model, steps, h):
 # ---------------------------------------------------------------------------
 
 
+def _error_system(model, reduced):
+    """The model (diag(A, A_r), [B; B_r], [C, -C_r]) whose output is y - y_r."""
+    Z = np.zeros((model.n, reduced.n))
+    return LssModel(
+        model.time_domain,
+        tuple(np.block([[A, Z], [Z.T, Ar]]) for A, Ar in zip(model.A, reduced.A)),
+        tuple(np.vstack([B, Br]) for B, Br in zip(model.B, reduced.B)),
+        tuple(np.hstack([C, -Cr]) for C, Cr in zip(model.C, reduced.C)),
+    )
+
+
 def verify_error_bound(model, result, trials, horizon, seed, h=None,
                        atol=1e-6, keep_ratios=False):
-    """Simulate the original and reduced models on shared random (u, q) and
-    check ||y - y_hat||_2 <= bound * ||u||_2 plus numerical slack (the
-    continuous-time slack carries an h^4 integration term)."""
-    reduced = result.reduced_model
+    """Simulate the error system, whose output is the difference of the
+    original and reduced outputs, on random (u, q) and check
+    ||y - y_hat||_2 <= bound * ||u||_2 + atol.  Both norms are exact in
+    either time domain, so `atol` (reported as `slack`) only absorbs
+    rounding."""
     rng = np.random.default_rng(seed)
     modeseq, u, _ = _batch_signals(model, rng, trials, horizon, h)
-    if model.is_discrete:
-        _, y_full = _dt_run_batch(model, modeseq, u)
-        _, y_red = _dt_run_batch(reduced, modeseq, u)
-        err = _batch_norms(_output_sq(y_full - y_red), None, False)
-        unorm = np.sqrt(np.sum(u**2, axis=(1, 2)))
-        slack = atol
-    else:
-        _, y_full = _ct_run_batch(model, modeseq, u, h)
-        _, y_red = _ct_run_batch(reduced, modeseq, u, h)
-        err = _batch_norms(_output_sq(y_full - y_red), h, True)
-        unorm = np.sqrt(h * np.sum(u**2, axis=(1, 2)))
-        slack = atol + (1.0 + result.apriori_bound) * 100.0 * h**4
-    ratios = err / np.maximum(unorm, 1e-30)
-    worst = float(np.max(ratios)) if trials else 0.0
-    passed = worst <= result.apriori_bound + slack
-    return BoundCheckReport(result.apriori_bound, worst, slack, trials, passed,
+    _, _, energy = _run(_error_system(model, result.reduced_model), modeseq, u, h)
+    ratios = _norm(energy) / np.maximum(_norm(_input_energy(model, u, h)), 1e-30)
+    worst = float(np.max(ratios))
+    passed = worst <= result.apriori_bound + atol
+    return BoundCheckReport(result.apriori_bound, worst, atol, trials, passed,
                             ratios=ratios if keep_ratios else None)
 
 
 def check_energy_lemmas(model, pair, trials, seed, horizon, h=None, atol=1e-6):
     """Trajectory check of the two grammian energy inequalities: reached
     states satisfy x^T P^-1 x <= input energy so far, and from the moment the
-    input stops, x^T Q x dominates the remaining output energy."""
+    input stops, x^T Q x dominates the remaining output energy.  States and
+    energies are exact in either time domain, so each side passes when its
+    worst excess is at most atol times its energy scale."""
     rng = np.random.default_rng(seed)
     Pinv = np.linalg.inv(pair.P_ctrl)
-    Q = pair.Q_obs
     modeseq, u, cut = _batch_signals(model, rng, trials, horizon, h, cutoff=True)
-    if model.is_discrete:
-        states, outputs = _dt_run_batch(model, modeseq, u)
-        in_sq = np.sum(u**2, axis=2)
-        cum_in = np.concatenate(
-            [np.zeros((trials, 1)), np.cumsum(in_sq, axis=1)], axis=1
-        )  # cum_in[:, t] = input energy strictly before t
-        out_sq = _output_sq(outputs)
-    else:
-        states, outputs = _ct_run_batch(model, modeseq, u, h)
-        in_sq = h * np.sum(u**2, axis=2)
-        cum_in = np.concatenate(
-            [np.zeros((trials, 1)), np.cumsum(in_sq, axis=1)], axis=1
-        )
-        out_sq = _output_sq(outputs)
+    states, _, energy = _run(model, modeseq, u, h)
+    # cum_in[:, t] = input energy strictly before t
+    cum_in = np.cumsum(np.pad(_input_energy(model, u, h), ((0, 0), (1, 0))), axis=1)
     vP = np.einsum("rti,ij,rtj->rt", states, Pinv, states)
-    scale_in = 1.0 + float(np.max(cum_in))
     worst_in = float(np.max(vP - cum_in))
-
-    worst_out = -np.inf
-    out_energy_scale = 0.0
-    for r in range(trials):
-        k = int(cut[r])
-        x = states[r, k]
-        future = out_sq[r, k:]
-        if model.is_discrete:
-            energy = float(np.sum(future))
-        else:
-            energy = float(h * (np.sum(future) - 0.5 * (future[0] + future[-1]))) if future.size > 1 else 0.0
-        out_energy_scale = max(out_energy_scale, energy)
-        worst_out = max(worst_out, energy - float(x @ Q @ x))
-    scale_out = 1.0 + out_energy_scale
-    # Continuous time adds trapezoid quadrature error (O(h^2)) on the output
-    # side and RK4 state error (O(h^4)) on the input side.
-    slack_in = 0.0 if model.is_discrete else 1e3 * h**4 * scale_in
-    slack_out = 0.0 if model.is_discrete else h**2 * scale_out
-    passed = (worst_in <= atol * scale_in + slack_in) and (
-        worst_out <= atol * scale_out + slack_out
-    )
+    future = np.sum(_from_cut(energy, cut), axis=1)
+    x = states[np.arange(trials), cut]
+    worst_out = float(np.max(future - np.einsum("ri,ij,rj->r", x, pair.Q_obs, x)))
+    passed = (worst_in <= atol * (1.0 + float(np.max(cum_in)))
+              and worst_out <= atol * (1.0 + float(np.max(future))))
     return EnergyCheckReport(worst_in, worst_out, trials, passed)
 
 

@@ -107,6 +107,16 @@ def test_verify_bound_passes(example1_path, lambda_pair_path, tmp_path):
     assert rep["result"]["worst_ratio"] <= rep["result"]["apriori_bound"] + rep["result"]["slack"]
 
 
+def test_verify_bound_with_empty_horizon_is_an_input_error(example1_path, lambda_pair_path,
+                                                           tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["verify-bound", "--model", example1_path, "--order", "2",
+                 "--pair-file", lambda_pair_path, "--horizon", "0", "--step", "0.02",
+                 "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_simulate_writes_csv(example1_path, tmp_path):
     out = tmp_path / "report.json"
     csv_path = tmp_path / "traj.csv"

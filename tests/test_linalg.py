@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lssbalred._linalg import (
+    expm,
     orth_columns,
     orth_complement,
     smat,
@@ -74,3 +77,45 @@ def test_orth_columns_and_complement_partition_space(seed, n, r):
     assert V.shape[1] + W.shape[1] == n
     if V.shape[1] and W.shape[1]:
         np.testing.assert_allclose(V.T @ W, np.zeros((V.shape[1], W.shape[1])), atol=1e-10)
+
+
+class TestExpm:
+    def test_diagonal(self):
+        d = np.array([-30.0, -2.5, 0.0, 0.7, 4.0])
+        np.testing.assert_allclose(expm(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("lam, t", [(0.0, 1.0), (0.0, 40.0), (-3.0, 2.0)])
+    def test_jordan_block(self, lam, t):
+        # exp(t (lam I + N)) = e^{lam t} sum_k (t N)^k / k!, N the 5x5 shift
+        n = 5
+        N = np.eye(n, k=1)
+        exact = sum(np.linalg.matrix_power(t * N, k) / math.factorial(k) for k in range(n))
+        np.testing.assert_allclose(expm(t * (lam * np.eye(n) + N)),
+                                   np.exp(lam * t) * exact, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("h", [0.01, 0.3, 2.0])
+    def test_van_loan_block_of_scalar_model(self, h):
+        # x' = -x + u, y = x: M = [[-1, 1], [0, 0]], Ch = [1, 0]
+        M = np.array([[-1.0, 1.0], [0.0, 0.0]])
+        Ch2 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        F = expm(h * np.block([[-M.T, Ch2], [np.zeros((2, 2)), M]]))
+        a, b = np.exp(-h), np.exp(-2.0 * h)
+        E = np.array([[a, 1.0 - a], [0.0, 1.0]])
+        W = np.array([
+            [(1.0 - b) / 2.0, (1.0 - a) - (1.0 - b) / 2.0],
+            [(1.0 - a) - (1.0 - b) / 2.0, h - 2.0 * (1.0 - a) + (1.0 - b) / 2.0],
+        ])  # integral of [e^{-s}, 1 - e^{-s}]^T [e^{-s}, 1 - e^{-s}] over [0, h]
+        np.testing.assert_allclose(F[2:, 2:], E, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(F[:2, :2], np.linalg.inv(E).T, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(F[2:, 2:].T @ F[:2, 2:], W, rtol=1e-12, atol=1e-16)
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.5, 3.0, 20.0, 100.0])
+    def test_matches_scipy(self, norm):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(int(norm * 1000))
+        for _ in range(10):
+            n = int(rng.integers(1, 25))
+            M = rng.standard_normal((n, n))
+            M *= norm / np.linalg.norm(M, 1)
+            ref = scipy_linalg.expm(M)
+            assert np.linalg.norm(expm(M) - ref) <= 1e-11 * np.linalg.norm(ref)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lssbalred import (
     check_energy_lemmas,
     decay_horizon,
     empirical_gain,
+    empirical_hankel_gain,
     nice_grammians,
     random_stable_model,
     reduce_model,
@@ -104,35 +107,57 @@ class TestSimulate:
         np.testing.assert_allclose(states[0], traj.states, atol=1e-12)
         np.testing.assert_allclose(outputs[0], traj.outputs, atol=1e-12)
 
-    def test_rk4_fourth_order_convergence(self, ct_scalar):
-        # constant input is exactly representable at every step size, so the
-        # remaining error is pure RK4 truncation: halving h divides it by 16
-        def run(h):
-            sig = SwitchingSignal("continuous", (0,), (2.0,))
-            u = np.ones((round(2.0 / h), 1))
-            traj = simulate(ct_scalar, u, sig, h=h)
-            return traj.states[-1, 0]
+    def test_ct_step_response_is_exact(self, ct_scalar):
+        # x' = -x + 1 from 0 gives y = x = 1 - e^{-t} at every grid point
+        h = 0.1
+        sig = SwitchingSignal("continuous", (0,), (5.0,))
+        traj = simulate(ct_scalar, np.ones((50, 1)), sig, h=h)
+        exact = 1.0 - np.exp(-traj.times)
+        np.testing.assert_allclose(traj.states[:, 0], exact, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(traj.outputs[:, 0], exact, rtol=0, atol=1e-13)
 
-        exact = 1.0 - np.exp(-2.0)
-        errs = [abs(run(h) - exact) for h in (0.2, 0.1, 0.05)]
-        ratios = [errs[0] / errs[1], errs[1] / errs[2]]
-        assert all(10.0 < r < 24.0 for r in ratios)
+    @pytest.mark.parametrize("a", [1.0, 1000.0])
+    def test_ct_held_input_energy_is_exact(self, a):
+        # x' = -a x + u, y = x; on a step with held u from x(t_k) = x,
+        # y(s) = c + d e^{-a s} with c = u / a, d = x - c, so the integral of
+        # y^2 over [0, h] is c^2 h + 2 c d (1 - e^{-ah}) / a
+        # + d^2 (1 - e^{-2ah}) / (2a); a h = 100 makes the mode stiff
+        model = LssModel("continuous", (np.array([[-a]]),), (np.eye(1),), (np.eye(1),))
+        h, N = 0.1, 30
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((N, 1))
+        sig = SwitchingSignal("continuous", (0,), (N * h,))
+        traj = simulate(model, u, sig, h=h)
+        c = u[:, 0] / a
+        d = traj.states[:-1, 0] - c
+        steps = (c**2 * h + 2.0 * c * d * (1.0 - np.exp(-a * h)) / a
+                 + d**2 * (1.0 - np.exp(-2.0 * a * h)) / (2.0 * a))
+        np.testing.assert_allclose(traj.energy, steps, rtol=1e-13, atol=1e-15)
+        assert traj.output_norm == pytest.approx(np.sqrt(np.sum(steps)), rel=1e-13)
+
+    def test_ct_refined_grid_gives_the_same_trajectory(self):
+        # the same held input and switching sampled on h and on h/2 (each
+        # sample repeated) is the same continuous-time signal, so an exact
+        # simulation agrees on the common grid and in the output norm
+        model = random_stable_model("continuous", 3, 2, m=2, p=2, kind="quadratic", seed=3)
+        rng = np.random.default_rng(5)
+        h = 0.1
+        sig = SwitchingSignal("continuous", (0, 1, 0), (0.7, 1.2, 0.5))
+        u = rng.standard_normal((24, 2))
+        coarse = simulate(model, u, sig, h=h)
+        fine = simulate(model, np.repeat(u, 2, axis=0), sig, h=h / 2)
+        np.testing.assert_allclose(fine.states[::2], coarse.states, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(coarse.states)))
+        np.testing.assert_allclose(fine.outputs[::2], coarse.outputs, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(coarse.outputs)))
+        assert fine.output_norm == pytest.approx(coarse.output_norm, rel=1e-12)
+        assert zoh_input_norm(fine.inputs, h=h / 2) == pytest.approx(
+            zoh_input_norm(u, h=h), rel=1e-15)
 
 
 class TestNorms:
     def test_dt_pythagorean(self):
         assert signal_l2_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-    def test_ct_constant(self):
-        h = 1e-4
-        samples = np.ones(round(4.0 / h) + 1)
-        assert signal_l2_norm(samples, h=h) == pytest.approx(2.0, abs=1e-6)
-
-    def test_ct_exponential(self):
-        h = 1e-3
-        t = h * np.arange(round(10.0 / h) + 1)
-        val = signal_l2_norm(np.exp(-t), h=h)
-        assert val == pytest.approx(np.sqrt(0.5 * (1 - np.exp(-20.0))), abs=1e-5)
 
     def test_zoh_norm_exact_for_held_input(self):
         u = np.array([[1.0], [2.0], [0.0]])
@@ -172,7 +197,7 @@ class TestEmpiricalGain:
         h = 0.05
         est = empirical_gain(model, 20, 10.0, seed=13, h=h)
         traj = simulate(model, est.witness_input, est.witness_switching, h=h)
-        ratio = signal_l2_norm(traj.outputs, h=h) / zoh_input_norm(est.witness_input, h=h)
+        ratio = traj.output_norm / zoh_input_norm(est.witness_input, h=h)
         assert ratio == pytest.approx(est.lower_bound, rel=1e-12)
 
 
@@ -191,6 +216,19 @@ class TestErrorBound:
         res = truncate(bal, 3)
         rep = verify_error_bound(example1, res, trials=10, horizon=20.0, seed=2, h=0.02)
         assert rep.worst_ratio <= 1e-9
+
+    def test_equivalent_ct_model_gives_zero_error(self):
+        # an isomorphic copy has the same output, so the exact error energy
+        # must cancel to rounding: |y - y'| stays at rounding level, where a
+        # plain quadratic form [x; x'; u]^T W [x; x'; u] leaves its square root
+        model = random_stable_model("continuous", 4, 2, m=1, kind="quadratic", seed=4)
+        T = np.eye(4) + 0.3 * np.random.default_rng(0).standard_normal((4, 4))
+        Ti = np.linalg.inv(T)
+        twin = LssModel("continuous", tuple(T @ A @ Ti for A in model.A),
+                        tuple(T @ B for B in model.B), tuple(C @ Ti for C in model.C))
+        result = SimpleNamespace(reduced_model=twin, apriori_bound=0.0)
+        rep = verify_error_bound(model, result, trials=20, horizon=20.0, seed=1, h=0.02)
+        assert rep.worst_ratio <= 1e-10
 
     def test_random_dt_models_with_nice_grammians_pass(self):
         for seed in range(20):
@@ -230,6 +268,39 @@ class TestEnergyLemmas:
         pair = nice_grammians(model)
         rep = check_energy_lemmas(model, pair, trials=50, seed=6, horizon=150)
         assert rep.passed
+
+
+class TestEmptyRuns:
+    """A batch with no trial or no step estimates nothing and must not pass."""
+
+    NO_TRIAL = "at least one trial"
+    NO_STEP = "shorter than one step"
+
+    @pytest.mark.parametrize("trials, horizon, error",
+                             [(0, 10.0, NO_TRIAL), (5, 0.0, NO_STEP), (5, 0.004, NO_STEP)])
+    def test_verify_error_bound(self, example1, example1_lambda, trials, horizon, error):
+        pair = GrammianPair(example1_lambda, example1_lambda, "manual")
+        res = reduce_model(example1, order=2, pair=pair)
+        with pytest.raises(ValueError, match=error):
+            verify_error_bound(example1, res, trials=trials, horizon=horizon, seed=1, h=0.01)
+
+    @pytest.mark.parametrize("trials, horizon, error", [(0, 50, NO_TRIAL), (5, 0, NO_STEP)])
+    def test_empirical_gain(self, dt_scalar, trials, horizon, error):
+        with pytest.raises(ValueError, match=error):
+            empirical_gain(dt_scalar, trials, horizon, seed=1)
+
+    @pytest.mark.parametrize("trials, horizon, h, error", [
+        (0, 5.0, 0.1, NO_TRIAL), (5, 0.0, 0.1, NO_STEP), (5, 5.0, None, "positive step"),
+    ])
+    def test_empirical_hankel_gain(self, ct_scalar, trials, horizon, h, error):
+        with pytest.raises(ValueError, match=error):
+            empirical_hankel_gain(ct_scalar, trials, horizon, seed=1, h=h)
+
+    @pytest.mark.parametrize("trials, horizon, error", [(0, 50, NO_TRIAL), (5, 0, NO_STEP)])
+    def test_check_energy_lemmas(self, dt_scalar, trials, horizon, error):
+        pair = GrammianPair(np.array([[4.0 / 3.0]]), np.array([[4.0 / 3.0]]), "manual")
+        with pytest.raises(ValueError, match=error):
+            check_energy_lemmas(dt_scalar, pair, trials=trials, seed=1, horizon=horizon)
 
 
 class TestDecayHorizon:
