@@ -82,20 +82,43 @@ def chol_pd(M, what="matrix"):
         raise ValueError(f"{what} is not positive definite")
 
 
-def kron_sum(A_list):
-    """Dense n^2 x n^2 matrix T = sum_q A_q (x) A_q.  In row-major
-    vectorization T maps vec(X) to vec(sum_q A_q X A_q^T), and its transpose
-    sum_q A_q^T (x) A_q^T maps vec(X) to vec(sum_q A_q^T X A_q)."""
-    return sum(np.kron(A, A) for A in A_list)
+RADIUS_RTOL = 1e-14  # settled: successive radius estimates within this * (1 + rho)
+STEIN_RTOL = np.finfo(float).eps  # settled: a layer's norm within this * the sum's
+BUDGET = 50_000  # steps of the radius iteration, layers of the Stein series
 
 
-def stein_solve(T, G):
-    """Unique solution of the mode-summed Stein equation X = T(X) + G, where
-    T is a :func:`kron_sum` matrix or its transpose, of spectral radius < 1;
-    dense O(n^6) solve."""
-    n = G.shape[0]
-    vec = np.linalg.solve(np.eye(n * n) - T, G.reshape(-1))
-    return symmetrize(vec.reshape(n, n))
+def mode_sum(As, X):
+    """The mode-summed Stein operator L(X) = sum_q A_q X A_q^T, in O(D n^3);
+    pass the transposes for its adjoint sum_q A_q^T X A_q."""
+    return sum(A @ X @ A.T for A in As)
+
+
+def stein_radius(As):
+    """Spectral radius rho of L = mode_sum(As, .) by power iteration of
+    X -> L(X) + X from I.  L is completely positive, so rho is an eigenvalue
+    with a PSD eigenvector, and the shift makes rho + 1 the only eigenvalue
+    of largest modulus.  Raises ValueError if tr L(X) / tr X does not settle."""
+    X, est = np.eye(As[0].shape[0]), np.inf
+    for _ in range(BUDGET):
+        LX = mode_sum(As, X)
+        rho = float(np.trace(LX) / np.trace(X))
+        if abs(rho - est) <= RADIUS_RTOL * (1.0 + rho):
+            return rho
+        X, est = (LX + X) / np.trace(LX + X), rho
+    raise ValueError(f"Stein radius unsettled after {BUDGET} steps, last estimate {est:.16g}")
+
+
+def stein_solve(As, G):
+    """X = sum_k L^k(G), the solution of X = L(X) + G when rho(L) < 1, summed
+    until a layer is negligible against the sum; raises ValueError if none is."""
+    X = layer = G
+    for _ in range(BUDGET):
+        layer = mode_sum(As, layer)
+        X = X + layer
+        step, total = np.linalg.norm(layer), np.linalg.norm(X)
+        if step <= STEIN_RTOL * total < np.inf:
+            return symmetrize(X)
+    raise ValueError(f"Stein series unsettled after {BUDGET} layers, last/sum {step / total:.3g}")
 
 
 def expm(M):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import kron_sum, max_eig, min_eig, orth_columns, stein_solve
+from ._linalg import max_eig, min_eig, orth_columns, stein_radius, stein_solve
 from .lmi import check_membership
 from .model import DISCRETE, LssModel
 from .realization import is_minimal
@@ -180,15 +180,15 @@ def check_beck_grammian_projection(model, blockP, blockQ, tol=1e-9):
 def feasible_block_pair(model, c=None):
     """Construct block-diagonal grammians of the uncertain embedding.
 
-    Requires the D-inflated Kronecker radius rho(D * sum_q A_q (x) A_q) < 1
-    (strictly stronger than strong stability for D > 1); the hub blocks solve
+    Requires the D-inflated Stein radius (that of the modes sqrt(D) A_q) < 1,
+    strictly stronger than strong stability for D > 1; the hub blocks solve
     inflated mode-summed Stein equations and the satellite blocks dominate
     the Gram cross terms, so the embedded inequalities hold with margin.
     """
     _require_discrete(model)
     D, n = model.num_modes, model.n
-    T = D * kron_sum(model.A)
-    rho = float(np.max(np.abs(np.linalg.eigvals(T))))
+    As = [math.sqrt(D) * A for A in model.A]
+    rho = stein_radius(As)
     if rho >= 1.0:
         raise ValueError(
             f"D-inflated Kronecker radius {rho:.4g} >= 1; no block construction"
@@ -199,12 +199,12 @@ def feasible_block_pair(model, c=None):
     c2 = c / (2.0 * max(1.0, gram_norm))
 
     GB = sum(B @ B.T for B in model.B) + (c2 * gram_norm + c) * np.eye(n)
-    P1 = stein_solve(T, GB)
+    P1 = stein_solve(As, GB)
     blockP = [P1] + [D * P1 + c2 * np.eye(n) for _ in range(D)]
 
     c3 = c
     GC = D * sum(C.T @ C for C in model.C) + (D * c2 + c3) * np.eye(n)
-    Q1raw = stein_solve(T.T, GC)
+    Q1raw = stein_solve([A.T for A in As], GC)
     # Q1 solves Q1 = D sum A^T Q1 A + GC, satellites dominate the Gram grid.
     blockQ = [Q1raw] + [
         D * (model.A[q].T @ Q1raw @ model.A[q] + model.C[q].T @ model.C[q]) + c2 * np.eye(n)

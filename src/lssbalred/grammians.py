@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_pd, kron_sum, min_eig, require_symmetric, stein_solve, symmetrize
+from ._linalg import chol_pd, min_eig, mode_sum, require_symmetric, stein_solve, symmetrize
 from .errors import InfeasibleError
 from .lmi import check_membership, family_system, solve_feasibility, tighten_trace
 from .stability import check_strong_stability
@@ -75,7 +75,7 @@ def lmi_grammian(model, kind, tighten=True, budget=None, margin=None):
 def _summed_pair(model, GB, GC, provenance, margin=0.0):
     """The pair P = sum_q A_q P A_q^T + GB, Q = sum_q A_q^T Q A_q + GC of a
     strongly stable discrete-time model: one strong-stability check, then
-    two dense Stein solves."""
+    the Stein series of the operator and of its adjoint."""
     if not model.is_discrete:
         raise ValueError(f"{provenance} grammians are defined for discrete-time models only")
     report = check_strong_stability(model)
@@ -83,8 +83,8 @@ def _summed_pair(model, GB, GC, provenance, margin=0.0):
         raise InfeasibleError(
             f"model is not strongly stable (radius {report.kronecker_spectral_radius:.6g})"
         )
-    T = kron_sum(model.A)
-    return GrammianPair(stein_solve(T, GB), stein_solve(T.T, GC), provenance, margin)
+    P = stein_solve(model.A, GB)
+    return GrammianPair(P, stein_solve([A.T for A in model.A], GC), provenance, margin)
 
 
 def nice_grammians(model):
@@ -107,8 +107,8 @@ def nice_grammian_series_oracle(model, depth, term_budget=10**7):
     nondecreasing in depth.
 
     Every word product A_w is materialized individually (batched over the
-    words of each length), so this stays independent of the vectorized
-    linear solve it cross-checks.
+    words of each length), so this stays independent of the layer-sum
+    Stein solve it cross-checks.
     """
     if not model.is_discrete:
         raise ValueError("series oracle is defined for discrete-time models only")
@@ -138,7 +138,7 @@ def nice_grammian_series_oracle(model, depth, term_budget=10**7):
 def truncated_hankel_square_sum(model, tol=1e-9, max_depth=20000):
     """Sum of squared Frobenius norms of all Hankel blocks H_{s,v} with
     |v|, |s| <= depth, where the depth is chosen so the geometric tail bound
-    (from the Kronecker spectral radius) falls below `tol`.
+    (from the Stein radius) falls below `tol`.
 
     Algebraically equal to trace(P_depth Q_depth) for the depth-truncated
     grammian series, computed by the layer recursion instead of word
@@ -157,8 +157,8 @@ def truncated_hankel_square_sum(model, tol=1e-9, max_depth=20000):
     P, Q = GB.copy(), GC.copy()
     depth = 0
     for k in range(1, max_depth + 1):
-        layerP = sum(A @ layerP @ A.T for A in model.A)
-        layerQ = sum(A.T @ layerQ @ A for A in model.A)
+        layerP = mode_sum(model.A, layerP)
+        layerQ = mode_sum([A.T for A in model.A], layerQ)
         P = P + layerP
         Q = Q + layerQ
         depth = k

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import kron_sum, rank_tol
+from ._linalg import rank_tol, stein_radius
 from .errors import ModelFormatError
 
 CONTINUOUS = "continuous"
@@ -189,8 +189,9 @@ def random_stable_model(time_domain, n, D, m=1, p=1, kind="quadratic", seed=0,
     kind="quadratic": continuous modes are built as K - K^T - diag(d) with
     d >= 0.05, so P = I is a common Lyapunov certificate; discrete modes are
     scaled to spectral norm `dt_norm` < 1.  kind="strong" (discrete only)
-    rescales all modes so the spectral radius of sum_q A_q^T (x) A_q^T equals
-    `strong_radius` < 1.  Deterministic given the seed.
+    rescales all modes so the spectral radius of the mode-summed Stein
+    operator X -> sum_q A_q X A_q^T equals `strong_radius` < 1.
+    Deterministic given the seed.
     """
     if kind not in ("quadratic", "strong"):
         raise ValueError(f"unknown stability kind {kind!r}")
@@ -211,9 +212,7 @@ def random_stable_model(time_domain, n, D, m=1, p=1, kind="quadratic", seed=0,
             As.append(M * (dt_norm / s))
     else:
         raw = [rng.standard_normal((n, n)) for _ in range(D)]
-        T = kron_sum(raw).T
-        rho = float(np.max(np.abs(np.linalg.eigvals(T))))
-        scale = math.sqrt(strong_radius / rho)
+        scale = math.sqrt(strong_radius / stein_radius(raw))
         As = [scale * A for A in raw]
     Bs = [rng.standard_normal((n, m)) for _ in range(D)]
     Cs = [rng.standard_normal((p, n)) for _ in range(D)]

@@ -197,29 +197,29 @@ def _dt_run_batch(model, modeseq, u):
 
 def _ct_run_batch(model, modeseq, u, h):
     """Batched continuous-time run on the grid t_k = k h, stepped by the
-    exact zero-order-hold discretization.  Returns states (R, N+1, n) and
-    output samples (R, N+1, p); the final sample uses the last active mode."""
-    Ad, Bd, _ = _zoh(model, h)
+    exact zero-order-hold discretization computed once.  Returns states
+    (R, N+1, n), output samples (R, N+1, p), the final one with the last
+    active mode, and the output energy of every step (R, N)."""
+    Ad, Bd, Gs = _zoh(model, h)
     C = np.stack(model.C)
     states, outputs = _recur(Ad, Bd, C, modeseq, u)
     last = C[modeseq[:, -1]] @ states[:, -1, :, None]
-    return states, np.concatenate([outputs, last.transpose(0, 2, 1)], axis=1)
+    xu = np.concatenate([states[:, :-1], u], axis=2)
+    energy = np.empty(modeseq.shape)
+    for q, G in enumerate(Gs):
+        sel = modeseq == q
+        energy[sel] = np.sum((xu[sel] @ G.T) ** 2, axis=1)
+    return states, np.concatenate([outputs, last.transpose(0, 2, 1)], axis=1), energy
 
 
 def _run(model, modeseq, u, h):
     """States, output samples and the exact output energy of every step
     (R, N): |y(t)|^2 in discrete time, the integral of |y|^2 over the step
     in continuous time."""
-    if model.is_discrete:
-        states, outputs = _dt_run_batch(model, modeseq, u)
-        return states, outputs, np.sum(outputs**2, axis=2)
-    states, outputs = _ct_run_batch(model, modeseq, u, h)
-    xu = np.concatenate([states[:, :-1], u], axis=2)
-    energy = np.empty(modeseq.shape)
-    for q, G in enumerate(_zoh(model, h)[2]):
-        sel = modeseq == q
-        energy[sel] = np.sum((xu[sel] @ G.T) ** 2, axis=1)
-    return states, outputs, energy
+    if not model.is_discrete:
+        return _ct_run_batch(model, modeseq, u, h)
+    states, outputs = _dt_run_batch(model, modeseq, u)
+    return states, outputs, np.sum(outputs**2, axis=2)
 
 
 def simulate(model, u, signal, horizon=None, h=None):
@@ -239,6 +239,8 @@ def simulate(model, u, signal, horizon=None, h=None):
         raise ValueError("continuous model needs a dwell-time switching signal")
     modes = steps_from_signal(signal, h=h, horizon=horizon)
     N = modes.size
+    if N < 1:
+        raise ValueError(f"horizon {horizon} is shorter than one step")
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]

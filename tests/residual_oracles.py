@@ -1,8 +1,12 @@
-"""Hand-written residual formulas of the constraint families.
+"""Hand-written residual formulas of the constraint families, and the dense
+Kronecker form of the mode-summed Stein operator.
 
 Independent oracles for :func:`lssbalred.lmi.family_system`: each formula is
 assembled directly from the model matrices, without LmiTerm/LmiBlock, so the
-builder is checked against a second, separate derivation.
+builder is checked against a second, separate derivation.  The n^2 x n^2
+matrices check :func:`lssbalred._linalg.stein_radius` and
+:func:`lssbalred._linalg.stein_solve` by dense eigenvalues and a dense
+linear solve, O(n^6); keep n <= 32.
 """
 
 import numpy as np
@@ -68,3 +72,23 @@ def family_residuals(model, M, family, gamma=None):
     if family == "Osum":
         return [averaged_residuals(model, M, M)[1]]
     raise ValueError(f"unknown family {family!r}")
+
+
+def kron_sum(A_list):
+    """Dense n^2 x n^2 matrix T = sum_q A_q (x) A_q.  In row-major
+    vectorization T maps vec(X) to vec(sum_q A_q X A_q^T), and its transpose
+    sum_q A_q^T (x) A_q^T maps vec(X) to vec(sum_q A_q^T X A_q)."""
+    return sum(np.kron(A, A) for A in A_list)
+
+
+def dense_stein_radius(A_list):
+    """max |eigenvalue| of kron_sum(A_list)."""
+    return float(np.max(np.abs(np.linalg.eigvals(kron_sum(A_list)))))
+
+
+def dense_stein_solve(T, G):
+    """Unique solution of X = T(X) + G for T = kron_sum(...) or its
+    transpose, by one dense linear solve."""
+    n = G.shape[0]
+    X = np.linalg.solve(np.eye(n * n) - T, G.reshape(-1)).reshape(n, n)
+    return 0.5 * (X + X.T)

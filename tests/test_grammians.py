@@ -9,6 +9,7 @@ from lssbalred import (
     averaged_grammians,
     check_membership,
     check_quadratic_stability,
+    check_strong_stability,
     compute_pair,
     dual_system,
     lmi_grammian,
@@ -141,6 +142,18 @@ class TestNiceGrammians:
         pair2 = nice_grammians(padded)
         assert np.linalg.eigvalsh(pair2.P_ctrl)[0] < 1e-10
         assert np.linalg.eigvalsh(pair2.Q_obs)[0] < 1e-10
+
+    def test_large_model_solves_both_stein_equations(self):
+        # n = 64: the Kronecker matrix of the operator would be 4096 x 4096
+        model = random_stable_model("discrete", 64, 2, kind="strong", seed=1)
+        report = check_strong_stability(model)
+        assert report.stable and report.matrix_dimension == 64**2
+        pair = nice_grammians(model)
+        P, Q = pair.P_ctrl, pair.Q_obs
+        RP = sum(A @ P @ A.T + B @ B.T for A, B in zip(model.A, model.B)) - P
+        RQ = sum(A.T @ Q @ A + C.T @ C for A, C in zip(model.A, model.C)) - Q
+        assert np.linalg.norm(RP) <= 1e-12 * np.linalg.norm(P)
+        assert np.linalg.norm(RQ) <= 1e-12 * np.linalg.norm(Q)
 
 
 class TestTraceIdentity:

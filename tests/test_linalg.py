@@ -7,15 +7,21 @@ from hypothesis import strategies as st
 
 from lssbalred._linalg import (
     expm,
+    mode_sum,
     orth_columns,
     orth_complement,
     smat,
+    stein_radius,
+    stein_solve,
     svec,
     svec_dim,
     svec_index,
     sym_basis,
     symmetrize,
 )
+from lssbalred.model import pad_with_dead_states, random_stable_model
+from lssbalred.realization import minimize
+from residual_oracles import dense_stein_radius, dense_stein_solve, kron_sum
 
 
 @settings(max_examples=50, deadline=None)
@@ -119,3 +125,104 @@ class TestExpm:
             M *= norm / np.linalg.norm(M, 1)
             ref = scipy_linalg.expm(M)
             assert np.linalg.norm(expm(M) - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# The mode-summed Stein operator against its dense Kronecker form
+# ---------------------------------------------------------------------------
+
+
+def _strong_modes():
+    """Seeded strongly stable models, n = 1..32, D = 1..3."""
+    for s, n in enumerate((1, 2, 3, 5, 8, 13, 21, 32)):
+        yield random_stable_model("discrete", n, 1 + s % 3, kind="strong", seed=s).A
+
+
+def _criterion8_modes():
+    """The padded and minimized models of acceptance criterion 8: the padding
+    is a decoupled block, so L is reducible."""
+    for s in range(50):
+        base = random_stable_model("discrete", 2 + s % 3, 1 + s % 3, kind="strong", seed=1700 + s)
+        padded = pad_with_dead_states(base, 1 + s % 2, seed=s)
+        yield padded.A
+        yield minimize(padded).A
+
+
+def _gaussian_modes():
+    """Single Gaussian modes whose dominant eigenvalue lambda is complex: L
+    then has the eigenvalues lambda^2 and conj(lambda)^2 of modulus rho."""
+    for s in range(60):
+        A = np.random.default_rng(2000 + s).standard_normal((2 + s % 15, 2 + s % 15))
+        lam = np.linalg.eigvals(A)
+        if lam[np.argmax(np.abs(lam))].imag != 0.0:
+            yield (A,)
+
+
+def _period_two_modes():
+    """Anti-diagonal mode: L has the eigenvalues +-0.45, of equal modulus."""
+    yield (np.array([[0.0, 0.5], [0.9, 0.0]]),)
+
+
+FAMILIES = {
+    "strong": _strong_modes,
+    "criterion8": _criterion8_modes,
+    "gaussian": _gaussian_modes,
+    "period2": _period_two_modes,
+}
+
+
+class TestSteinOperator:
+    def test_mode_sum_is_the_kronecker_map_and_transposes_give_the_adjoint(self):
+        rng = np.random.default_rng(3)
+        As = [rng.standard_normal((4, 4)) for _ in range(3)]
+        X, Y = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+        np.testing.assert_allclose(mode_sum(As, X).reshape(-1), kron_sum(As) @ X.reshape(-1),
+                                   rtol=1e-13, atol=1e-13)
+        adjoint = mode_sum([A.T for A in As], Y)
+        assert np.sum(Y * mode_sum(As, X)) == pytest.approx(np.sum(adjoint * X), rel=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_radius_matches_dense_eigenvalues(self, family):
+        count = 0
+        for As in FAMILIES[family]():
+            ref = dense_stein_radius(As)
+            assert abs(stein_radius(As) - ref) <= 1e-9 * ref
+            count += 1
+        assert count >= 1
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_solve_matches_dense_solve_in_both_directions(self, family):
+        rng = np.random.default_rng(5)
+        for As in FAMILIES[family]():
+            # rescale to radius 0.9 where needed, so the series converges
+            As = [A * min(1.0, math.sqrt(0.9 / dense_stein_radius(As))) for A in As]
+            n = As[0].shape[0]
+            G = symmetrize(rng.standard_normal((n, n)))
+            T = kron_sum(As)
+            for Ts, Bs in ((T, As), (T.T, [A.T for A in As])):
+                ref = dense_stein_solve(Ts, G)
+                assert np.linalg.norm(stein_solve(Bs, G) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("A", [
+        0.9 * np.array([[1.0, 1.0], [0.0, 1.0]]),  # Jordan block: rho = 0.81, defective
+        np.array([[0.0, 1.0], [0.0, 0.0]]),  # nilpotent: rho = 0
+        np.diag([0.5, 0.4999]),  # the two largest eigenvalues of L nearly tie
+    ], ids=["jordan", "nilpotent", "near_tie"])
+    def test_edge_inputs_match_the_oracle_or_raise(self, A):
+        ref = dense_stein_radius((A,))
+        try:
+            rho = stein_radius((A,))
+        except ValueError as exc:
+            assert "last estimate" in str(exc)
+        else:
+            assert abs(rho - ref) <= 1e-8 * max(ref, 1.0)
+        G = np.eye(2)
+        T = kron_sum((A,))
+        for Ts, Bs in ((T, (A,)), (T.T, (A.T,))):
+            ref = dense_stein_solve(Ts, G)
+            assert np.linalg.norm(stein_solve(Bs, G) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_series_that_does_not_settle_raises(self):
+        # radius 1: every layer equals G, so no layer is negligible
+        with pytest.raises(ValueError, match="Stein series unsettled"):
+            stein_solve((np.eye(2),), np.eye(2))

@@ -103,7 +103,7 @@ class TestSimulate:
         steps = steps_from_signal(sig, h=h)
         u = rng.standard_normal((steps.size, 1))
         traj = simulate(model, u, sig, h=h)
-        states, outputs = _ct_run_batch(model, steps[None, :], u[None, :, :], h)
+        states, outputs, _ = _ct_run_batch(model, steps[None, :], u[None, :, :], h)
         np.testing.assert_allclose(states[0], traj.states, atol=1e-12)
         np.testing.assert_allclose(outputs[0], traj.outputs, atol=1e-12)
 
@@ -301,6 +301,16 @@ class TestEmptyRuns:
         pair = GrammianPair(np.array([[4.0 / 3.0]]), np.array([[4.0 / 3.0]]), "manual")
         with pytest.raises(ValueError, match=error):
             check_energy_lemmas(dt_scalar, pair, trials=trials, seed=1, horizon=horizon)
+
+    def test_simulate_discrete(self, dt_scalar):
+        sig = SwitchingSignal("discrete", (0,))
+        with pytest.raises(ValueError, match=self.NO_STEP):
+            simulate(dt_scalar, np.zeros((0, 1)), sig, horizon=0)
+
+    def test_simulate_continuous(self, ct_scalar):
+        sig = SwitchingSignal("continuous", (0,), (1.0,))
+        with pytest.raises(ValueError, match=self.NO_STEP):
+            simulate(ct_scalar, np.zeros((0, 1)), sig, horizon=0, h=0.1)
 
 
 class TestDecayHorizon:
