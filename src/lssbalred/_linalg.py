@@ -82,7 +82,7 @@ def chol_pd(M, what="matrix"):
         raise ValueError(f"{what} is not positive definite")
 
 
-RADIUS_RTOL = 1e-14  # settled: successive radius estimates within this * (1 + rho)
+RADIUS_RTOL = 1e-14  # settled: successive radius estimates within this * rho
 STEIN_RTOL = np.finfo(float).eps  # settled: a layer's norm within this * the sum's
 BUDGET = 50_000  # steps of the radius iteration, layers of the Stein series
 
@@ -94,17 +94,17 @@ def mode_sum(As, X):
 
 
 def stein_radius(As):
-    """Spectral radius rho of L = mode_sum(As, .) by power iteration of
-    X -> L(X) + X from I.  L is completely positive, so rho is an eigenvalue
-    with a PSD eigenvector, and the shift makes rho + 1 the only eigenvalue
-    of largest modulus.  Raises ValueError if tr L(X) / tr X does not settle."""
+    """Spectral radius rho of L = mode_sum(As, .) by power iteration of X -> L(X) + r X
+    from I, r = tr L(X) / tr X the last estimate.  L is completely positive, so rho + r
+    is the only eigenvalue of largest modulus and the rest shrink by their gap relative
+    to rho.  Returns 0 once r decays to 0; raises ValueError if r does not settle."""
     X, est = np.eye(As[0].shape[0]), np.inf
     for _ in range(BUDGET):
         LX = mode_sum(As, X)
         rho = float(np.trace(LX) / np.trace(X))
-        if abs(rho - est) <= RADIUS_RTOL * (1.0 + rho):
+        if abs(rho - est) <= RADIUS_RTOL * rho or rho == 0.0:
             return rho
-        X, est = (LX + X) / np.trace(LX + X), rho
+        X, est = (LX + rho * X) / (2.0 * rho * np.trace(X)), rho
     raise ValueError(f"Stein radius unsettled after {BUDGET} steps, last estimate {est:.16g}")
 
 

@@ -163,11 +163,22 @@ def _period_two_modes():
     yield (np.array([[0.0, 0.5], [0.9, 0.0]]),)
 
 
+def _small_radius_modes():
+    """diag(0.01, 0.005) (radius 1e-4) and strong models rescaled to radius
+    1e-2 and 1e-4: the iteration must converge by gaps relative to rho."""
+    yield (np.diag([0.01, 0.005]),)
+    for radius in (1e-2, 1e-4):
+        for s, n in enumerate((2, 5, 13, 32)):
+            As = random_stable_model("discrete", n, 1 + s % 3, kind="strong", seed=s).A
+            yield [A * math.sqrt(radius / dense_stein_radius(As)) for A in As]
+
+
 FAMILIES = {
     "strong": _strong_modes,
     "criterion8": _criterion8_modes,
     "gaussian": _gaussian_modes,
     "period2": _period_two_modes,
+    "small_radius": _small_radius_modes,
 }
 
 

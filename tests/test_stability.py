@@ -4,6 +4,7 @@ import pytest
 from lssbalred import (
     InfeasibleError,
     Isomorphism,
+    LssModel,
     apply_isomorphism,
     check_quadratic_stability,
     check_strong_stability,
@@ -16,7 +17,7 @@ from lssbalred.lmi import family_system, solve_feasibility
 from lssbalred.model import pad_with_dead_states
 from lssbalred.stability import certificate_margin
 from conftest import scalar_model, scalar_two_mode
-from residual_oracles import stability_residual
+from residual_oracles import dense_stein_radius, stability_residual
 
 
 class TestQuadraticStability:
@@ -61,6 +62,21 @@ class TestStrongStability:
         report = check_strong_stability(model)
         assert report.stable
         assert report.matrix_dimension == 4
+
+    @pytest.mark.parametrize("radius", [None, 1e-2, 1e-4], ids=["diag", "1e-2", "1e-4"])
+    def test_small_radius_models(self, radius):
+        # a radius far below 1 must still converge, by gaps relative to it
+        if radius is None:  # diag(0.01, 0.005): radius 0.01^2 = 1e-4
+            model = LssModel("discrete", (np.diag([0.01, 0.005]),), (np.ones((2, 1)),),
+                             (np.ones((1, 2)),))
+        else:
+            model = random_stable_model("discrete", 5, 2, kind="strong", seed=2,
+                                        strong_radius=radius)
+        report = check_strong_stability(model)
+        ref = dense_stein_radius(model.A)
+        assert report.stable
+        assert abs(report.kronecker_spectral_radius - ref) <= 1e-9 * ref
+        assert strong_implies_quadratic_witness(model).margin > 0
 
     def test_continuous_model_rejected(self, example1):
         with pytest.raises(ValueError, match="discrete-time"):
