@@ -189,14 +189,8 @@ def cmd_reduce(args, model):
 
 
 def cmd_gain(args, model):
-    history = []
-    gamma_star, cert = l2_gain_upper_bound(model, tol=args.tol, history=history)
-    result = {
-        "gamma_star": float(gamma_star),
-        "iterations": len(history),
-        "residuals": _vec(cert.residuals),
-        "bisection": [{"gamma": g, "feasible": f} for g, f in history],
-    }
+    gamma_star, cert = l2_gain_upper_bound(model, tol=args.tol)
+    result = {"gamma_star": float(gamma_star), "residuals": _vec(cert.residuals)}
     return result, "ok"
 
 

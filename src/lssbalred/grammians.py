@@ -53,12 +53,12 @@ _FAMILY = {CONTROLLABILITY: "C", OBSERVABILITY: "O"}
 
 
 def lmi_grammian(model, kind, tighten=True, budget=None, margin=None):
-    """Grammian via the LMI solver, trace-tightened by default."""
+    """Grammian via the LMI solver: one feasibility solve, then by default
+    one min tr P solve warm-started from it."""
     if kind not in _FAMILY:
         raise ValueError(f"unknown grammian kind {kind!r}")
     sys = family_system(model, _FAMILY[kind])
-    kwargs = {} if budget is None else {"budget": budget}
-    result = solve_feasibility(sys, margin=margin, **kwargs)
+    result = solve_feasibility(sys, budget=budget, margin=margin)
     if not result.feasible:
         raise InfeasibleError(f"no {kind} grammian found within budget")
     G = result.solution

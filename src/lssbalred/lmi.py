@@ -1,4 +1,4 @@
-"""Feasibility solver for simultaneous linear matrix inequalities.
+"""Solver for simultaneous linear matrix inequalities.
 
 All grammian, stability and gain computations in this package reduce to the
 same shape of problem: find a symmetric P with
@@ -15,9 +15,10 @@ affine graph {(P, F_1(P), ..., F_m(P))} and the product of shifted
 semidefinite cones.  Compiling a system evaluates every block once on the
 stacked symmetric basis and precomputes the graph projector, so a sweep
 costs two matrix-vector products in the symmetric vectorization plus the
-small eigen-decompositions that clip onto the cones.  It is
-heuristic-complete only: "infeasible" means no certificate was found
-within the iteration budget.
+small eigen-decompositions that clip onto the cones.  A linear objective
+<W, P> only shifts the graph projection's target, so the certified gain
+(min gamma^2) and trace-tightened grammians (min tr P) take one solve each.
+"Infeasible" means no certificate was found within the iteration budget.
 """
 
 from dataclasses import dataclass
@@ -36,6 +37,8 @@ from ._linalg import (
 )
 
 DEFAULT_BUDGET = 5000
+OBJECTIVE_BUDGET = 20000
+OBJECTIVE_STEP = 0.2  # DR step on the objective, in units of the data scale
 MARGIN_SCALE_FACTOR = 1e-7
 
 
@@ -94,9 +97,6 @@ class AffineLmiSystem:
             for t in b.terms:
                 s = max(s, float(np.linalg.norm(t.left, 2) * np.linalg.norm(t.right, 2)))
         return s
-
-    def with_extra_block(self, block):
-        return AffineLmiSystem(self.n, self.blocks + (block,))
 
 
 def family_system(model, family, gamma=None):
@@ -162,6 +162,23 @@ def _mode_block(family, A, B, C, gamma, discrete):
     if discrete:
         return LmiBlock(const, (LmiTerm(L, L.T), LmiTerm(-I, I)))
     return LmiBlock(const, (LmiTerm(L, I, symmetrize=True),))
+
+
+def lifted_gain_system(model):
+    """The gain family in X = [[P, *], [*, t]] of size n + 1: each block at X
+    is the "G" block at P and gamma = sqrt(t), its terms re-embedded through
+    P = E X E^T plus m corner terms for -t I_m."""
+    n, m = model.n, model.m
+    E = np.eye(n, n + 1)
+    e = np.eye(n + 1)[:, n:]
+    corner = [np.eye(n + m)[:, n + j:n + j + 1] for j in range(m)]
+    blocks = []
+    for A, B, C in zip(model.A, model.B, model.C):
+        block = _mode_block("G", A, B, C, 0.0, model.is_discrete)
+        terms = [LmiTerm(t.left @ E, E.T @ t.right, t.symmetrize) for t in block.terms]
+        terms += [LmiTerm(-f @ e.T, e @ f.T) for f in corner]
+        blocks.append(LmiBlock(block.constant, tuple(terms)))
+    return AffineLmiSystem(n + 1, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -272,22 +289,32 @@ def _clip_spectrum(M, floor=None, ceiling=None):
     return (V * w) @ V.T
 
 
-def solve_feasibility(sys, budget=DEFAULT_BUDGET, margin=None, start=None,
-                      callback=None, stall_window=300, stall_rtol=1e-3):
-    """Search for P > 0 satisfying every block of `sys` with the given margin.
+def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
+                      stall_window=300, stall_rtol=1e-3, objective=None,
+                      settle=1e-5):
+    """Search for P > 0 satisfying every block of `sys` with the given margin,
+    minimising <objective, P> if a symmetric weight `objective` is given.
 
     Douglas-Rachford splitting between the affine graph
     {(P, F_1(P), ..., F_m(P))} and the product of shifted semidefinite cones;
     the graph projection is one matvec with the projector precomputed when
-    the system is compiled, the cone projections clip eigenvalues.
-    Feasibility is tested on the graph point each sweep, so
+    the system is compiled, the cone projections clip eigenvalues.  An
+    objective W shifts the projection's target by -OBJECTIVE_STEP *
+    data_scale * W.  Feasibility is tested on the graph point each sweep, so
     `status="feasible"` guarantees that re-evaluating the blocks at the
-    returned P gives max eigenvalue <= -margin and min eig(P) >= margin.  A negative result means the budget ran out or the
-    violation stopped improving for `stall_window` sweeps; neither is a
-    certificate of infeasibility.
+    returned P gives max eigenvalue <= -margin and min eig(P) >= margin.
+
+    Without an objective the first feasible point is returned, else the
+    budget (DEFAULT_BUDGET if None) ran out or the violation stopped
+    improving for `stall_window` sweeps.  With one, the lowest-objective
+    feasible point is returned once a feasible sweep's DR step is at most
+    `settle` * (1 + |xi|) or the budget (OBJECTIVE_BUDGET if None) runs
+    out.  No negative result is a certificate of infeasibility.
     """
     n = sys.n
     scale = sys.data_scale()
+    if budget is None:
+        budget = DEFAULT_BUDGET if objective is None else OBJECTIVE_BUDGET
     if margin is None:
         margin = MARGIN_SCALE_FACTOR * scale
     # Project onto slightly deeper cones so that acceptance at `margin`
@@ -302,16 +329,20 @@ def solve_feasibility(sys, budget=DEFAULT_BUDGET, margin=None, start=None,
         P0 = np.eye(n)
     xi_x = svec(P0)
     xi_z = compiled.images(xi_x)
+    if objective is not None:
+        weight = svec(require_symmetric(np.asarray(objective, dtype=float), what="objective"))
+        shift = OBJECTIVE_STEP * scale * weight
 
     best_violation = np.inf
     best_P = None
+    found = None  # (objective value, P, residual) of the best feasible point
     iterations = 0
     stall_mark = np.inf
     stall_at = 0
     for it in range(1, budget + 1):
         iterations = it
         # Projection onto the affine graph.
-        ax = compiled.graph_project(xi_x, xi_z)
+        ax = compiled.graph_project(xi_x if objective is None else xi_x - shift, xi_z)
         az = compiled.images(ax)
         P = smat(ax, n)
         res = max(max_eig(smat(az[s], k)) for s, k in compiled.blocks)
@@ -322,13 +353,17 @@ def solve_feasibility(sys, budget=DEFAULT_BUDGET, margin=None, start=None,
             best_P = P
         if callback is not None:
             callback(it, res)
-        if res <= -margin and pmin >= margin:
-            return FeasibilityResult("feasible", P, res, it, margin)
-        if violation < stall_mark * (1.0 - stall_rtol):
-            stall_mark = violation
-            stall_at = it
-        elif it - stall_at >= stall_window:
-            break
+        feasible = res <= -margin and pmin >= margin
+        if objective is None:
+            if feasible:
+                return FeasibilityResult("feasible", P, res, it, margin)
+            if violation < stall_mark * (1.0 - stall_rtol):
+                stall_mark = violation
+                stall_at = it
+            elif it - stall_at >= stall_window:
+                break
+        elif feasible and (found is None or weight @ ax < found[0]):
+            found = (weight @ ax, P, res)
         # Reflect, project onto the cones, average.
         bx = svec(_clip_spectrum(smat(2.0 * ax - xi_x, n), floor=deep))
         xi_x = xi_x + bx - ax
@@ -337,46 +372,27 @@ def solve_feasibility(sys, budget=DEFAULT_BUDGET, margin=None, start=None,
         for s, k in compiled.blocks:
             bz[s] = svec(_clip_spectrum(smat(rz[s], k), ceiling=-deep))
         xi_z = xi_z + bz - az
+        if feasible:  # with an objective: stop once the DR step settles
+            step = np.hypot(np.linalg.norm(bx - ax), np.linalg.norm(bz - az))
+            if step <= settle * (1.0 + np.hypot(np.linalg.norm(xi_x), np.linalg.norm(xi_z))):
+                break
 
+    if found is not None:
+        return FeasibilityResult("feasible", found[1], found[2], iterations, margin)
     res = sys.residual(best_P) if best_P is not None else np.inf
     return FeasibilityResult("infeasible_within_budget", None, res, iterations, margin)
 
 
-def _trace_cap_block(n, cap):
-    terms = []
-    for i in range(n):
-        e = np.zeros((1, n))
-        e[0, i] = 1.0
-        terms.append(LmiTerm(e, e.T, symmetrize=False))
-    return LmiBlock(np.array([[-cap]]), tuple(terms))
-
-
-def tighten_trace(sys, seed_solution, budget=800, margin=None,
-                  rounds=10, rel_tol=0.02):
-    """Shrink the trace of a feasible solution by bisecting a trace cap.
-
-    The cap is added as an extra 1x1 constraint block and the system is
-    re-solved, warm-started from the best solution so far.  A round whose
-    capped solve exhausts `budget` just tightens the bracket from below, so
-    the per-round budget is kept deliberately small.  Returns the
-    smallest-trace feasible point found (the seed if nothing improved).
-    """
+def tighten_trace(sys, seed_solution, budget=None, margin=None):
+    """The smallest-trace point of `sys` found by one min tr P solve,
+    warm-started from a feasible `seed_solution`; the seed itself if the
+    solve finds nothing of smaller trace."""
     seed_solution = require_symmetric(seed_solution, what="seed solution")
-    best = seed_solution
-    hi = float(np.trace(seed_solution))
-    lo = 0.0
-    for _ in range(rounds):
-        if hi - lo <= rel_tol * max(hi, 1e-30):
-            break
-        cap = 0.5 * (lo + hi)
-        capped = sys.with_extra_block(_trace_cap_block(sys.n, cap))
-        result = solve_feasibility(capped, budget=budget, margin=margin, start=best)
-        if result.feasible:
-            best = result.solution
-            hi = min(cap, float(np.trace(best)))
-        else:
-            lo = cap
-    return best
+    result = solve_feasibility(sys, budget=budget, margin=margin, start=seed_solution,
+                               objective=np.eye(sys.n))
+    if result.feasible and np.trace(result.solution) < np.trace(seed_solution):
+        return result.solution
+    return seed_solution
 
 
 def schur_equivalence_check(A, P, S, domain, tol=1e-10):

@@ -33,8 +33,7 @@ class StrongStabilityReport:
 def check_quadratic_stability(model, budget=None, margin=None):
     """Search for a common quadratic Lyapunov certificate.  Returns a
     StabilityCertificate or None (no certificate found within budget)."""
-    kwargs = {} if budget is None else {"budget": budget}
-    result = solve_feasibility(family_system(model, "S"), margin=margin, **kwargs)
+    result = solve_feasibility(family_system(model, "S"), budget=budget, margin=margin)
     if not result.feasible:
         return None
     kind = "quadratic_dt" if model.is_discrete else "quadratic_ct"

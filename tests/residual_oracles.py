@@ -1,15 +1,19 @@
-"""Hand-written residual formulas of the constraint families, and the dense
-Kronecker form of the mode-summed Stein operator.
+"""Hand-written residual formulas of the constraint families, the dense
+Kronecker form of the mode-summed Stein operator, and the gain bisection.
 
 Independent oracles for :func:`lssbalred.lmi.family_system`: each formula is
 assembled directly from the model matrices, without LmiTerm/LmiBlock, so the
 builder is checked against a second, separate derivation.  The n^2 x n^2
 matrices check :func:`lssbalred._linalg.stein_radius` and
 :func:`lssbalred._linalg.stein_solve` by dense eigenvalues and a dense
-linear solve, O(n^6); keep n <= 32.
+linear solve, O(n^6); keep n <= 32.  :func:`bisection_gain` checks
+:func:`lssbalred.gain.l2_gain_upper_bound` by locating the smallest
+certified gamma with feasibility probes only.
 """
 
 import numpy as np
+
+from lssbalred import InfeasibleError, gamma_feasible
 
 
 def stability_residual(model, P, q):
@@ -92,3 +96,33 @@ def dense_stein_solve(T, G):
     n = G.shape[0]
     X = np.linalg.solve(np.eye(n * n) - T, G.reshape(-1)).reshape(n, n)
     return 0.5 * (X + X.T)
+
+
+def bisection_gain(model, tol=1e-3, cap=60):
+    """Smallest certified gamma to relative tolerance `tol` by bisection over
+    :func:`lssbalred.gamma_feasible`: double from max_q |B_q| |C_q| until a
+    probe is feasible, then bisect, warm-starting each probe from the last
+    certificate.  Returns (gamma, certificate)."""
+    guess = max(float(np.linalg.norm(B, 2) * np.linalg.norm(C, 2))
+                for B, C in zip(model.B, model.C))
+    hi = max(guess, 1e-6)
+    best = gamma_feasible(model, hi)
+    doubling = 0
+    while best is None:
+        doubling += 1
+        if doubling > cap:
+            raise InfeasibleError("gain bisection failed to bracket a feasible gamma")
+        hi *= 2.0
+        best = gamma_feasible(model, hi)
+    lo = 0.0
+    iterations = 0
+    while hi - lo > tol * hi and iterations < cap:
+        iterations += 1
+        mid = 0.5 * (lo + hi)
+        cand = gamma_feasible(model, mid, start=best.P)
+        if cand is not None:
+            best = cand
+            hi = mid
+        else:
+            lo = mid
+    return best.gamma, best

@@ -4,6 +4,7 @@ import pytest
 from lssbalred import (
     GrammianPair,
     InfeasibleError,
+    check_membership,
     empirical_gain,
     empirical_hankel_gain,
     gamma_feasible,
@@ -15,7 +16,7 @@ from lssbalred import (
 )
 from lssbalred.model import pad_with_dead_states
 from conftest import scalar_model
-from residual_oracles import gain_residual
+from residual_oracles import bisection_gain, gain_residual
 
 
 class TestGammaFeasible:
@@ -54,14 +55,17 @@ class TestBisection:
         with pytest.raises(InfeasibleError):
             l2_gain_upper_bound(scalar_model("discrete", 1.5))
 
-    def test_bisection_trace_is_monotone(self, ct_scalar):
-        history = []
-        l2_gain_upper_bound(ct_scalar, tol=1e-3, history=history)
-        feasible_gammas = [g for g, ok in history if ok]
-        infeasible_gammas = [g for g, ok in history if not ok]
-        if infeasible_gammas and feasible_gammas:
-            # every verified gamma sits above every budget-rejected gamma
-            assert min(feasible_gammas) > max(infeasible_gammas)
+    @pytest.mark.parametrize("model", [
+        random_stable_model("discrete", 8, 3, m=1, p=2, seed=6),
+        random_stable_model("continuous", 6, 2, m=2, p=2, seed=3),
+    ], ids=["dt-n8-D3", "ct-n6-D2"])
+    def test_no_worse_than_bisection_oracle(self, model):
+        tol = 1e-3
+        gamma, cert = l2_gain_upper_bound(model, tol=tol)
+        oracle, _ = bisection_gain(model, tol=tol)
+        assert gamma <= oracle * (1.0 + tol)
+        assert cert.gamma == gamma
+        assert check_membership(model, cert.P, "G", gamma).member()
 
     def test_two_mode_ct_upper_bounds_empirical_gain(self):
         model = random_stable_model("continuous", 3, 2, kind="quadratic", seed=33)

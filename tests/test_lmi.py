@@ -16,7 +16,7 @@ from lssbalred import (
     tighten_trace,
 )
 from lssbalred._linalg import svec, svec_dim, sym_basis, symmetrize
-from lssbalred.lmi import _CompiledSystem, _trace_cap_block
+from lssbalred.lmi import _CompiledSystem, lifted_gain_system
 from residual_oracles import family_residuals
 
 # Every constraint family in every time domain it is defined for.
@@ -33,6 +33,21 @@ def stein_block(A):
     """A^T P A - P."""
     n = A.shape[0]
     return LmiBlock(np.zeros((n, n)), (LmiTerm(A.T, A), LmiTerm(-np.eye(n), np.eye(n))))
+
+
+def _trace_cap_block(n, cap):
+    """tr P - cap as a 1x1 block."""
+    terms = []
+    for i in range(n):
+        e = np.zeros((1, n))
+        e[0, i] = 1.0
+        terms.append(LmiTerm(e, e.T, symmetrize=False))
+    return LmiBlock(np.array([[-cap]]), tuple(terms))
+
+
+def with_extra_block(sys, block):
+    """`sys` with one more constraint block."""
+    return AffineLmiSystem(sys.n, sys.blocks + (block,))
 
 
 def compile_oracle(sys):
@@ -57,7 +72,7 @@ def compile_cases():
         sys = family_system(model, family, 1.7 if family == "G" else None)
         yield pytest.param(sys, id=f"{family}-{td}")
     model = random_stable_model("discrete", 4, 2, seed=72)
-    sys = family_system(model, "O").with_extra_block(_trace_cap_block(4, 3.0))
+    sys = with_extra_block(family_system(model, "O"), _trace_cap_block(4, 3.0))
     yield pytest.param(sys, id="O-discrete-trace-cap")
 
 
@@ -138,6 +153,22 @@ class TestSolveFeasibility:
         with pytest.raises(ValueError, match="symmetry"):
             solve_feasibility(AffineLmiSystem(2, (bad,)))
 
+    @pytest.mark.parametrize("objective", [np.eye(4), np.diag([0.0, 0.0, 0.0, 1.0])],
+                             ids=["trace", "corner"])
+    def test_objective_solve_is_sound_at_any_budget(self, objective):
+        model = random_stable_model("discrete", 4, 2, seed=74)
+        sys = family_system(model, "O")
+        for budget in (1, 30):
+            result = solve_feasibility(sys, budget=budget, objective=objective)
+            assert result.iterations <= budget
+            if result.feasible:
+                rep = check_membership(model, result.solution, "O")
+                assert rep.member(result.margin - 1e-12)
+                assert np.linalg.eigvalsh(result.solution)[0] >= result.margin - 1e-12
+            else:
+                assert result.status == "infeasible_within_budget"
+                assert result.solution is None
+
     def test_residual_consistent_on_reevaluation(self):
         rng = np.random.default_rng(0)
         K = rng.standard_normal((4, 4))
@@ -154,6 +185,12 @@ class TestTightenTrace:
         sys = AffineLmiSystem(1, (lyapunov_obs_block(np.array([[-1.0]]), np.array([[1.0]])),))
         out = tighten_trace(sys, np.array([[5.0]]), margin=1e-6)
         assert 0.5 <= float(out[0, 0]) <= 0.55
+
+    def test_scalar_reaches_the_minimal_trace(self):
+        # min P subject to -2P + 1 <= 0 is P = 1/2
+        sys = AffineLmiSystem(1, (lyapunov_obs_block(np.array([[-1.0]]), np.array([[1.0]])),))
+        out = tighten_trace(sys, np.array([[5.0]]))
+        assert 0.5 <= float(np.trace(out)) <= 0.5005
 
     def test_trace_minimal_seed_is_kept(self):
         sys = AffineLmiSystem(1, (lyapunov_obs_block(np.array([[-1.0]]), np.array([[1.0]])),))
@@ -212,6 +249,24 @@ class TestFamilySystem:
                 tol = 1e-10 * (1.0 + np.linalg.norm(R, 2))
                 assert abs(got - np.linalg.eigvalsh(0.5 * (R + R.T))[-1]) <= tol
                 np.testing.assert_allclose(block, R, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("td", ["continuous", "discrete"])
+    def test_lifted_gain_family_matches_gain_family(self, td):
+        model = random_stable_model(td, 4, 3, m=2, p=3, seed=63)
+        lifted = lifted_gain_system(model)
+        assert lifted.n == model.n + 1
+        rng = np.random.default_rng(64)
+        for gamma in (0.3, 1.7, 12.0):
+            K = rng.standard_normal((4, 4))
+            P = K @ K.T
+            X = np.zeros((5, 5))
+            X[:4, :4] = P
+            X[4, 4] = gamma**2
+            got = lifted.evaluate(X)
+            expect = family_system(model, "G", gamma).evaluate(P)
+            assert len(got) == len(expect) == model.num_modes
+            for G, R in zip(got, expect):
+                np.testing.assert_allclose(G, R, rtol=0, atol=1e-12 * np.linalg.norm(R))
 
     def test_summed_families_are_discrete_only(self, example1):
         for family in ("Csum", "Osum"):
