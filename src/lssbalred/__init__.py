@@ -34,11 +34,9 @@ from .grammians import (
     SingularValues,
     averaged_grammians,
     lmi_grammian,
-    nice_grammian_series_oracle,
     nice_grammians,
     singular_values,
     transport_pair,
-    truncated_hankel_square_sum,
 )
 from .lmi import (
     AffineLmiSystem,
@@ -48,8 +46,6 @@ from .lmi import (
     MembershipReport,
     check_membership,
     family_system,
-    project_psd,
-    schur_equivalence_check,
     solve_feasibility,
     tighten_trace,
 )
@@ -89,7 +85,6 @@ from .simulate import (
     decay_horizon,
     empirical_gain,
     empirical_hankel_gain,
-    signal_l2_norm,
     simulate,
     verify_error_bound,
     zoh_input_norm,

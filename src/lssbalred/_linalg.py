@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 RANK_TOL_FACTOR = 1e-10
+SYM_TOL = 1e-10  # accepted asymmetry, relative to max(1, max |entry|)
 
 
 def symmetrize(M):
@@ -21,13 +22,13 @@ def sym_defect(M):
     return float(np.max(np.abs(M - M.T))) if M.size else 0.0
 
 
-def require_symmetric(M, tol=1e-10, what="matrix"):
+def require_symmetric(M, what="matrix"):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    if sym_defect(M) > tol * scale:
-        raise ValueError(f"{what} is not symmetric within {tol}")
+    if sym_defect(M) > SYM_TOL * scale:
+        raise ValueError(f"{what} is not symmetric within {SYM_TOL}")
     return symmetrize(M)
 
 

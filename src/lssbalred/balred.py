@@ -9,7 +9,7 @@ grammian pair of the reduced model; with strict input grammians the reduced
 model stays quadratically stable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,13 +91,13 @@ def balance(model, pair):
     return BalancingResult(iso, balanced, sigmas, pair)
 
 
-def admissible_orders(sigmas, tie_tol=TIE_REL_TOL):
+def admissible_orders(sigmas):
     """Retained orders r in 1..n-1 that do not split a tied sigma cluster."""
     n = sigmas.size
     out = []
     top = max(float(sigmas[0]), 1e-300)
     for r in range(1, n):
-        if (sigmas[r - 1] - sigmas[r]) / top >= tie_tol:
+        if (sigmas[r - 1] - sigmas[r]) / top >= TIE_REL_TOL:
             out.append(r)
     return out
 
@@ -130,14 +130,14 @@ def truncate(bal, r, force_ties=False):
     return ReductionResult(reduced, r, sigmas.copy(), bound, bal, strict_pair=strict)
 
 
-def compute_pair(model, source="lmi", tighten=True, margin=None, budget=None):
+def compute_pair(model, source="lmi", tighten=True, margin=None):
     """Grammian pair from one of GRAMMIAN_SOURCES: "lmi" (default,
     trace-tightened LMI solves), "nice" (exact mode-summed Stein solves) or
     "averaged" (nice plus a strict margin); the last two need a strongly
     stable discrete-time model."""
     if source == "lmi":
-        P = lmi_grammian(model, CONTROLLABILITY, tighten=tighten, margin=margin, budget=budget)
-        Q = lmi_grammian(model, OBSERVABILITY, tighten=tighten, margin=margin, budget=budget)
+        P = lmi_grammian(model, CONTROLLABILITY, tighten=tighten, margin=margin)
+        Q = lmi_grammian(model, OBSERVABILITY, tighten=tighten, margin=margin)
         pair = GrammianPair(P, Q, "lmi")
     elif source == "nice":
         pair = nice_grammians(model)
@@ -150,8 +150,7 @@ def compute_pair(model, source="lmi", tighten=True, margin=None, budget=None):
 
 
 def reduce_model(model, order=None, bound_budget=None, pair=None, source="lmi",
-                 minimize_first=False, force_ties=False, tighten=True,
-                 margin=None, budget=None):
+                 minimize_first=False, force_ties=False, margin=None):
     """End-to-end balanced truncation.
 
     Exactly one of `order` (retained order r) or `bound_budget` (error budget
@@ -165,7 +164,7 @@ def reduce_model(model, order=None, bound_budget=None, pair=None, source="lmi",
     if work.n == 0:
         raise ValueError("model minimized to order zero; nothing to reduce")
     if pair is None:
-        pair = compute_pair(work, source=source, tighten=tighten, margin=margin, budget=budget)
+        pair = compute_pair(work, source=source, margin=margin)
     elif pair.P_ctrl.shape[0] != work.n:
         raise ValueError("supplied grammian pair does not match the model being balanced")
     bal = balance(work, pair)
@@ -181,16 +180,9 @@ def reduce_model(model, order=None, bound_budget=None, pair=None, source="lmi",
                 r = k
                 break
     result = truncate(bal, r, force_ties=force_ties)
-    extras = dict(result.extras)
-    extras["minimized_first"] = bool(minimize_first)
-    extras["original_order"] = model.n
-    extras["singular_values_convention"] = "sqrt of eigenvalues of P*Q"
-    return ReductionResult(
-        result.reduced_model,
-        result.retained,
-        result.sigmas,
-        result.apriori_bound,
-        result.balancing,
-        strict_pair=result.strict_pair,
-        extras=extras,
-    )
+    return replace(result, extras={
+        **result.extras,
+        "minimized_first": bool(minimize_first),
+        "original_order": model.n,
+        "singular_values_convention": "sqrt of eigenvalues of P*Q",
+    })

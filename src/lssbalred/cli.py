@@ -19,7 +19,7 @@ from .balred import GRAMMIAN_SOURCES, compute_pair, reduce_model
 from .embeddings import build_uncertain_embedding, check_uncertain_minimality_equivalence
 from .errors import InfeasibleError, LssError, ModelFormatError
 from .gain import l2_gain_upper_bound
-from .grammians import check_membership, singular_values
+from .grammians import GrammianPair, check_membership, singular_values
 from .model import load_model, validate_model
 from .realization import is_minimal
 from .simulate import (
@@ -96,8 +96,6 @@ def _default_horizon(model, args):
 def _load_pair(path, n):
     """Explicit grammian pair from a JSON file {"P": [[...]], "Q": [[...]]};
     lets a report reproduce a hand-picked balanced pair exactly."""
-    from .grammians import GrammianPair
-
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     P = np.array(data["P"], dtype=float)
@@ -145,9 +143,10 @@ def cmd_grammians(args, model):
     return result, "ok"
 
 
-def cmd_reduce(args, model):
+def _reduce(args, model):
+    """reduce_model with the options of the reduce and verify-bound commands."""
     pair = _load_pair(args.pair_file, model.n) if args.pair_file else None
-    res = reduce_model(
+    return reduce_model(
         model,
         order=args.order,
         bound_budget=args.bound,
@@ -157,6 +156,10 @@ def cmd_reduce(args, model):
         force_ties=args.force_ties,
         margin=args.margin,
     )
+
+
+def cmd_reduce(args, model):
+    res = _reduce(args, model)
     bal = res.balancing
     reduced = res.reduced_model
     result = {
@@ -240,17 +243,7 @@ def _write_csv(path, traj, model):
 
 
 def cmd_verify_bound(args, model):
-    pair = _load_pair(args.pair_file, model.n) if args.pair_file else None
-    res = reduce_model(
-        model,
-        order=args.order,
-        bound_budget=args.bound,
-        pair=pair,
-        source=args.grammians,
-        minimize_first=args.minimize_first,
-        force_ties=args.force_ties,
-        margin=args.margin,
-    )
+    res = _reduce(args, model)
     horizon = _default_horizon(model, args)
     h = None if model.is_discrete else args.step
     report = verify_error_bound(model, res, args.trials, horizon, args.seed, h=h)

@@ -6,7 +6,7 @@ system: block row one of A holds [0, A_1, ..., A_D], every other block row is
 [I, 0, ..., 0]; B feeds [B_1, ..., B_D] into the first block row; C reads
 [0, C_1, ..., C_D].  Block-diagonal grammians of the embedding project onto
 ordinary grammians of the switched model.  The stochastic embedding scales
-all matrices by 1/sqrt(p) and draws the mode i.i.d. with P(mode = q) = p;
+all matrices by 1/sqrt(p) and draws the mode i.i.d. with P(mode = q) = p = 1/D;
 the expected output energy then dominates every deterministic switching
 realization, and equals the word-sum of squared deterministic outputs.
 """
@@ -20,7 +20,10 @@ from ._linalg import max_eig, min_eig, orth_columns, stein_radius, stein_solve
 from .lmi import check_membership
 from .model import DISCRETE, LssModel
 from .realization import is_minimal
-from .simulate import _dt_run_batch, run_trials
+from .simulate import _dt_run_batch
+
+PROJECTION_TOL = 1e-9  # residual tolerance of the block-grammian projection checks
+MC_CHUNK = 4096  # Monte Carlo trials per random stream
 
 
 @dataclass(frozen=True)
@@ -49,12 +52,9 @@ class BlockGrammianReport:
 
     @property
     def projected_pair_ok(self):
-        return (
-            self.summed_ctrl_residual <= 1e-9
-            and self.summed_obs_residual <= 1e-9
-            and self.mode_ctrl_residual <= 1e-9
-            and self.mode_obs_residual <= 1e-9
-        )
+        return all(r <= PROJECTION_TOL for r in (
+            self.summed_ctrl_residual, self.summed_obs_residual,
+            self.mode_ctrl_residual, self.mode_obs_residual))
 
 
 @dataclass(frozen=True)
@@ -87,47 +87,33 @@ def build_uncertain_embedding(model):
     return UncertainEmbedding(A, B, C, n, D)
 
 
-def _blockwise_reachable(model):
-    """Block components of the embedding's reachable family: subspaces V_i of
-    R^n, i = 0 .. D (0 is the hub block), iterated along the block adjacency
-    A_{hub,q+1} = A_q, A_{q+1,hub} = I."""
-    n, D = model.n, model.num_modes
-    V = [orth_columns(np.hstack(model.B))] + [np.zeros((n, 0)) for _ in range(D)]
-    for _ in range(2 * (D + 1) * n + 2):
-        hub = [V[0]] + [model.A[q] @ V[q + 1] for q in range(D)]
-        newV = [orth_columns(np.hstack(hub))]
-        for q in range(D):
-            newV.append(orth_columns(np.hstack([V[q + 1], V[0]])))
-        if all(a.shape[1] == b.shape[1] for a, b in zip(V, newV)):
-            V = newV
+def _block_closure(M, G, n):
+    """Smallest subspaces V_i of R^n, one per n-row block i, with V_i holding
+    block row i of G and M_ij V_j inside V_i for every nonzero block M_ij of
+    M: the fixed point of V_i <- V_i + sum_j M_ij V_j.  On the embedding,
+    (A, B) gives the blockwise reachable family, (A^T, C^T) the blockwise
+    observable one; block 0 is the hub."""
+    k = M.shape[0] // n
+    blocks = [[M[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(k)] for i in range(k)]
+    edges = [[(j, Mij) for j, Mij in enumerate(row) if np.any(Mij)] for row in blocks]
+    V = [orth_columns(G[i * n:(i + 1) * n]) for i in range(k)]
+    for _ in range(2 * k * n + 2):
+        new = [orth_columns(np.hstack([V[i]] + [Mij @ V[j] for j, Mij in edges[i]]))
+               for i in range(k)]
+        settled = all(a.shape[1] == b.shape[1] for a, b in zip(V, new))
+        V = new
+        if settled:
             break
-        V = newV
     return V
-
-
-def _blockwise_observable(model):
-    n, D = model.n, model.num_modes
-    U = [np.zeros((n, 0))] + [orth_columns(model.C[q].T) for q in range(D)]
-    for _ in range(2 * (D + 1) * n + 2):
-        hub = [U[0]] + [U[q + 1] for q in range(D)]
-        new0 = orth_columns(np.hstack(hub))
-        newU = [new0]
-        for q in range(D):
-            newU.append(orth_columns(np.hstack([U[q + 1], model.A[q].T @ U[0]])))
-        if all(a.shape[1] == b.shape[1] for a, b in zip(U, newU)):
-            U = newU
-            break
-        U = newU
-    return U
 
 
 def check_uncertain_minimality_equivalence(model):
     """The switched model's minimality must agree with the blockwise rank
     conditions of its uncertain embedding; returns that agreement."""
-    _require_discrete(model)
+    emb = build_uncertain_embedding(model)
     n = model.n
-    emb_reachable = all(V.shape[1] == n for V in _blockwise_reachable(model))
-    emb_observable = all(U.shape[1] == n for U in _blockwise_observable(model))
+    emb_reachable = all(V.shape[1] == n for V in _block_closure(emb.A, emb.B, n))
+    emb_observable = all(U.shape[1] == n for U in _block_closure(emb.A.T, emb.C.T, n))
     return is_minimal(model) == (emb_reachable and emb_observable)
 
 
@@ -139,15 +125,16 @@ def _block_diag(blocks):
     return out
 
 
-def check_beck_grammian_projection(model, blockP, blockQ, tol=1e-9):
+def check_beck_grammian_projection(model, blockP, blockQ):
     """Verify that block-diagonal grammians of the uncertain embedding
     project onto grammians of the switched model.
 
     blockP and blockQ are lists of D+1 positive definite n x n blocks.  The
     embedded inequalities A P A^T + B B^T - P <= 0 and
-    A^T Q A + C^T C - Q <= 0 are a precondition (rejected if violated); the
-    conclusions checked are the mode-summed inequalities and plain per-mode
-    grammian membership of the first blocks P_1, Q_1.
+    A^T Q A + C^T C - Q <= 0 are a precondition (rejected if violated
+    beyond PROJECTION_TOL relative); the conclusions checked are the
+    mode-summed inequalities and plain per-mode grammian membership of the
+    first blocks P_1, Q_1.
     """
     _require_discrete(model)
     D, n = model.num_modes, model.n
@@ -162,7 +149,7 @@ def check_beck_grammian_projection(model, blockP, blockQ, tol=1e-9):
     embedded = LssModel(DISCRETE, (emb.A,), (emb.B,), (emb.C,))
     ctrl_res = check_membership(embedded, P, "C").worst
     obs_res = check_membership(embedded, Q, "O").worst
-    if ctrl_res > tol * scale or obs_res > tol * scale:
+    if ctrl_res > PROJECTION_TOL * scale or obs_res > PROJECTION_TOL * scale:
         raise ValueError(
             "block matrices do not satisfy the embedded grammian inequalities"
         )
@@ -177,7 +164,7 @@ def check_beck_grammian_projection(model, blockP, blockQ, tol=1e-9):
     )
 
 
-def feasible_block_pair(model, c=None):
+def feasible_block_pair(model):
     """Construct block-diagonal grammians of the uncertain embedding.
 
     Requires the D-inflated Stein radius (that of the modes sqrt(D) A_q) < 1,
@@ -193,8 +180,7 @@ def feasible_block_pair(model, c=None):
         raise ValueError(
             f"D-inflated Kronecker radius {rho:.4g} >= 1; no block construction"
         )
-    if c is None:
-        c = 1e-3 * max(1.0, max(float(np.max(np.abs(B))) for B in model.B)) ** 2
+    c = 1e-3 * max(1.0, max(float(np.max(np.abs(B))) for B in model.B)) ** 2
     gram_norm = max_eig(sum(A @ A.T for A in model.A))
     c2 = c / (2.0 * max(1.0, gram_norm))
 
@@ -220,15 +206,11 @@ def feasible_block_pair(model, c=None):
 # ---------------------------------------------------------------------------
 
 
-def stochastic_embedding(model, p=None):
-    """The jump system with matrices scaled by 1/sqrt(p) and i.i.d. modes.
-    The identically-distributed mode process requires p = 1/D."""
+def stochastic_embedding(model):
+    """The jump system with matrices scaled by 1/sqrt(p) and i.i.d. modes of
+    probability p = 1/D each."""
     _require_discrete(model)
-    D = model.num_modes
-    if p is None:
-        p = 1.0 / D
-    if not (0.0 < p <= 1.0) or abs(p * D - 1.0) > 1e-12:
-        raise ValueError("mode probability must be p = 1/D for an i.i.d. process over the modes")
+    p = 1.0 / model.num_modes
     s = 1.0 / math.sqrt(p)
     scaled = LssModel(
         DISCRETE,
@@ -240,54 +222,26 @@ def stochastic_embedding(model, p=None):
     return StochasticEmbedding(scaled, p)
 
 
-def exhaustive_stochastic_energy(model, u, horizon):
-    """Word-sum oracle: sum over t < horizon and all words of length t+1 of
-    the squared deterministic output at time t.  Exponential in the horizon;
-    test oracle only."""
-    _require_discrete(model)
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if u.shape[0] < horizon:
-        raise ValueError("input must cover the horizon")
-    D, n = model.num_modes, model.n
-    states = [np.zeros(n)]  # one state per word prefix of length t
-    total = 0.0
-    for t in range(horizon):
-        total += sum(
-            float(np.sum((C @ x) ** 2)) for x in states for C in model.C
-        )
-        states = [
-            model.A[q] @ x + model.B[q] @ u[t] for x in states for q in range(D)
-        ]
-    return total
-
-
-def monte_carlo_stochastic_energy(model, u, trials, horizon, seed, p=None,
-                                  chunk=4096):
+def monte_carlo_stochastic_energy(model, u, trials, horizon, seed):
     """Monte Carlo estimate of the expected cumulative squared output of the
     stochastic embedding under a deterministic input; returns the mean with
-    its standard error.  Deterministic given the seed and independent of the
-    parallelism degree."""
-    emb = stochastic_embedding(model, p)
-    scaled = emb.model
+    its standard error.  Chunk i of MC_CHUNK trials draws its modes from the
+    stream SeedSequence(entropy=seed, spawn_key=(i,)), so the result is
+    deterministic given the seed."""
+    scaled = stochastic_embedding(model).model
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[0] < horizon:
         raise ValueError("input must cover the horizon")
     u = u[:horizon]
-    D = model.num_modes
-    chunks = [min(chunk, trials - s) for s in range(0, trials, chunk)]
-
-    def run_chunk(i):
+    total = total_sq = 0
+    for i, start in enumerate(range(0, trials, MC_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        R = chunks[i]
-        modeseq = rng.integers(0, D, size=(R, horizon))
-        ubatch = np.broadcast_to(u, (R,) + u.shape)
-        _, outputs = _dt_run_batch(scaled, modeseq, ubatch)
+        R = min(MC_CHUNK, trials - start)
+        modeseq = rng.integers(0, model.num_modes, size=(R, horizon))
+        _, outputs = _dt_run_batch(scaled, modeseq, np.broadcast_to(u, (R,) + u.shape))
         energies = np.sum(outputs**2, axis=(1, 2))
-        return float(np.sum(energies)), float(np.sum(energies**2))
-
-    parts = run_trials(len(chunks), run_chunk)
-    total = sum(p0 for p0, _ in parts)
-    total_sq = sum(p1 for _, p1 in parts)
+        total += float(np.sum(energies))
+        total_sq += float(np.sum(energies**2))
     mean = total / trials
     var = max(total_sq / trials - mean**2, 0.0)
     se = math.sqrt(var / trials)

@@ -39,13 +39,12 @@ class GainCertificate:
         return all(r < 0 for r in self.residuals)
 
 
-def gamma_feasible(model, gamma, budget=None, margin=None, start=None):
+def gamma_feasible(model, gamma, budget=None, start=None):
     """Certificate for one gamma, or None if the solver found nothing
     within budget."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    result = solve_feasibility(family_system(model, "G", gamma), budget=budget,
-                               margin=margin, start=start)
+    result = solve_feasibility(family_system(model, "G", gamma), budget=budget, start=start)
     if not result.feasible:
         return None
     P = result.solution
@@ -53,7 +52,7 @@ def gamma_feasible(model, gamma, budget=None, margin=None, start=None):
     return GainCertificate(float(gamma), P, residuals)
 
 
-def l2_gain_upper_bound(model, tol=1e-3, budget=None, margin=None):
+def l2_gain_upper_bound(model, tol=1e-3):
     """The smallest certified gain, from one min gamma^2 solve.
 
     Requires a quadratic-stability certificate (which guarantees feasibility
@@ -71,7 +70,7 @@ def l2_gain_upper_bound(model, tol=1e-3, budget=None, margin=None):
         for B, C in zip(model.B, model.C)
     )
     start = np.diag(np.r_[np.ones(n), max(guess, 1e-6) ** 2])
-    result = solve_feasibility(lifted_gain_system(model), budget=budget, margin=margin, start=start,
+    result = solve_feasibility(lifted_gain_system(model), start=start,
                                objective=np.diag(np.r_[np.zeros(n), 1.0]), settle=1e-2 * tol)
     if not result.feasible:
         raise InfeasibleError("no gain certificate found within budget")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_pd, min_eig, mode_sum, require_symmetric, stein_solve, symmetrize
+from ._linalg import chol_pd, min_eig, require_symmetric, stein_solve, symmetrize
 from .errors import InfeasibleError
 from .lmi import check_membership, family_system, solve_feasibility, tighten_trace
 from .stability import check_strong_stability
@@ -99,74 +99,6 @@ def nice_grammians(model):
     GB = sum(B @ B.T for B in model.B)
     GC = sum(C.T @ C for C in model.C)
     return _summed_pair(model, GB, GC, "nice")
-
-
-def nice_grammian_series_oracle(model, depth, term_budget=10**7):
-    """Brute-force truncated series  sum over words |w| <= depth of
-    A_w G A_w^T  (and the transposed analog); test oracle only, monotone
-    nondecreasing in depth.
-
-    Every word product A_w is materialized individually (batched over the
-    words of each length), so this stays independent of the layer-sum
-    Stein solve it cross-checks.
-    """
-    if not model.is_discrete:
-        raise ValueError("series oracle is defined for discrete-time models only")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    D = model.num_modes
-    total = sum(D**k for k in range(depth + 1))
-    if total > term_budget:
-        raise ValueError(f"oracle budget exceeded: {total} words > {term_budget}")
-    GB = sum(B @ B.T for B in model.B)
-    GC = sum(C.T @ C for C in model.C)
-    n = model.n
-    words = np.eye(n)[None, :, :]  # A_w for the empty word
-    P = np.zeros((n, n))
-    Q = np.zeros((n, n))
-    for k in range(depth + 1):
-        if k > 0:
-            # appending letter q to w gives A_{wq} = A_q A_w
-            words = np.concatenate(
-                [np.einsum("ij,wjk->wik", A, words) for A in model.A]
-            )
-        P += np.einsum("wij,jk,wlk->il", words, GB, words)
-        Q += np.einsum("wji,jk,wkl->il", words, GC, words)
-    return GrammianPair(symmetrize(P), symmetrize(Q), "nice", margin=0.0)
-
-
-def truncated_hankel_square_sum(model, tol=1e-9, max_depth=20000):
-    """Sum of squared Frobenius norms of all Hankel blocks H_{s,v} with
-    |v|, |s| <= depth, where the depth is chosen so the geometric tail bound
-    (from the Stein radius) falls below `tol`.
-
-    Algebraically equal to trace(P_depth Q_depth) for the depth-truncated
-    grammian series, computed by the layer recursion instead of word
-    enumeration.  Converges to trace(P Q) of the nice grammians.  Returns
-    (value, depth).
-    """
-    if not model.is_discrete:
-        raise ValueError("Hankel sums are defined for discrete-time models only")
-    report = check_strong_stability(model)
-    if not report.stable:
-        raise InfeasibleError("model is not strongly stable")
-    rho = report.kronecker_spectral_radius
-    GB = sum(B @ B.T for B in model.B)
-    GC = sum(C.T @ C for C in model.C)
-    layerP, layerQ = GB.copy(), GC.copy()
-    P, Q = GB.copy(), GC.copy()
-    depth = 0
-    for k in range(1, max_depth + 1):
-        layerP = mode_sum(model.A, layerP)
-        layerQ = mode_sum([A.T for A in model.A], layerQ)
-        P = P + layerP
-        Q = Q + layerQ
-        depth = k
-        tail = max(np.linalg.norm(layerP), np.linalg.norm(layerQ)) * rho / (1.0 - rho)
-        scale = max(np.linalg.norm(P), np.linalg.norm(Q), 1.0)
-        if tail * scale < tol:
-            break
-    return float(np.trace(P @ Q)), depth
 
 
 # ---------------------------------------------------------------------------

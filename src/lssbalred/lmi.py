@@ -40,6 +40,8 @@ DEFAULT_BUDGET = 5000
 OBJECTIVE_BUDGET = 20000
 OBJECTIVE_STEP = 0.2  # DR step on the objective, in units of the data scale
 MARGIN_SCALE_FACTOR = 1e-7
+STALL_WINDOW = 300  # sweeps without STALL_RTOL relative progress end a feasibility solve
+STALL_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -218,16 +220,6 @@ class FeasibilityResult:
         return self.status == "feasible"
 
 
-def project_psd(M, floor=0.0):
-    """Frobenius-nearest symmetric matrix with all eigenvalues >= floor."""
-    M = require_symmetric(M, what="project_psd input")
-    w, V = np.linalg.eigh(M)
-    if w[0] >= floor:
-        return M
-    w = np.maximum(w, floor)
-    return symmetrize((V * w) @ V.T)
-
-
 class _CompiledSystem:
     """A system in the symmetric vectorization, with its graph projector.
 
@@ -290,8 +282,7 @@ def _clip_spectrum(M, floor=None, ceiling=None):
 
 
 def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
-                      stall_window=300, stall_rtol=1e-3, objective=None,
-                      settle=1e-5):
+                      objective=None, settle=1e-5):
     """Search for P > 0 satisfying every block of `sys` with the given margin,
     minimising <objective, P> if a symmetric weight `objective` is given.
 
@@ -306,7 +297,8 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
 
     Without an objective the first feasible point is returned, else the
     budget (DEFAULT_BUDGET if None) ran out or the violation stopped
-    improving for `stall_window` sweeps.  With one, the lowest-objective
+    improving: STALL_WINDOW sweeps passed without a drop below
+    (1 - STALL_RTOL) times its last mark.  With one, the lowest-objective
     feasible point is returned once a feasible sweep's DR step is at most
     `settle` * (1 + |xi|) or the budget (OBJECTIVE_BUDGET if None) runs
     out.  No negative result is a certificate of infeasibility.
@@ -357,10 +349,10 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
         if objective is None:
             if feasible:
                 return FeasibilityResult("feasible", P, res, it, margin)
-            if violation < stall_mark * (1.0 - stall_rtol):
+            if violation < stall_mark * (1.0 - STALL_RTOL):
                 stall_mark = violation
                 stall_at = it
-            elif it - stall_at >= stall_window:
+            elif it - stall_at >= STALL_WINDOW:
                 break
         elif feasible and (found is None or weight @ ax < found[0]):
             found = (weight @ ax, P, res)
@@ -383,56 +375,12 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
     return FeasibilityResult("infeasible_within_budget", None, res, iterations, margin)
 
 
-def tighten_trace(sys, seed_solution, budget=None, margin=None):
+def tighten_trace(sys, seed_solution, margin=None):
     """The smallest-trace point of `sys` found by one min tr P solve,
     warm-started from a feasible `seed_solution`; the seed itself if the
     solve finds nothing of smaller trace."""
     seed_solution = require_symmetric(seed_solution, what="seed solution")
-    result = solve_feasibility(sys, budget=budget, margin=margin, start=seed_solution,
-                               objective=np.eye(sys.n))
+    result = solve_feasibility(sys, margin=margin, start=seed_solution, objective=np.eye(sys.n))
     if result.feasible and np.trace(result.solution) < np.trace(seed_solution):
         return result.solution
     return seed_solution
-
-
-def schur_equivalence_check(A, P, S, domain, tol=1e-10):
-    """Numerical oracle: the direct quadratic form and its Schur-complement
-    block form must agree in definiteness sign.  Test helper only.
-
-    Continuous: A^T P + P A + S^T S  vs  [[P^-1 A^T + A P^-1, P^-1 S^T],
-                                          [S P^-1, -I]].
-    Discrete:  -P + A^T P A + S^T S  vs  [[-P^-1 + A P^-1 A^T, -A P^-1 S^T],
-                                          [-S P^-1 A^T, -I + S P^-1 S^T]].
-    """
-    A = np.asarray(A, dtype=float)
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    P = require_symmetric(P, what="P")
-    if min_eig(P) <= 0:
-        raise ValueError("P must be positive definite")
-    Pinv = np.linalg.inv(P)
-    k = S.shape[0]
-    if domain == "ct":
-        direct = A.T @ P + P @ A + S.T @ S
-        block = np.block([
-            [Pinv @ A.T + A @ Pinv, Pinv @ S.T],
-            [S @ Pinv, -np.eye(k)],
-        ])
-    elif domain == "dt":
-        direct = -P + A.T @ P @ A + S.T @ S
-        block = np.block([
-            [-Pinv + A @ Pinv @ A.T, -A @ Pinv @ S.T],
-            [-S @ Pinv @ A.T, -np.eye(k) + S @ Pinv @ S.T],
-        ])
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-
-    def sign_of(M):
-        lam = max_eig(M)
-        cut = tol * max(1.0, float(np.max(np.abs(M))))
-        if lam > cut:
-            return 1
-        if lam < -cut:
-            return -1
-        return 0
-
-    return sign_of(direct) == sign_of(block)

@@ -17,6 +17,8 @@ from .errors import ModelFormatError
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
+CT_DECAY = (0.3, 1.3)  # range of the diagonal decay of random continuous modes
+DT_NORM = 0.9  # spectral norm of random quadratic-stable discrete modes
 
 
 @dataclass(frozen=True)
@@ -183,14 +185,15 @@ def dual_system(model):
 
 
 def random_stable_model(time_domain, n, D, m=1, p=1, kind="quadratic", seed=0,
-                        ct_decay=(0.3, 1.3), dt_norm=0.9, strong_radius=0.9):
+                        strong_radius=0.9):
     """Draw a random switched model guaranteed stable by construction.
 
     kind="quadratic": continuous modes are built as K - K^T - diag(d) with
-    d >= 0.05, so P = I is a common Lyapunov certificate; discrete modes are
-    scaled to spectral norm `dt_norm` < 1.  kind="strong" (discrete only)
-    rescales all modes so the spectral radius of the mode-summed Stein
-    operator X -> sum_q A_q X A_q^T equals `strong_radius` < 1.
+    d >= 0.05 drawn from CT_DECAY, so P = I is a common Lyapunov
+    certificate; discrete modes are scaled to spectral norm DT_NORM < 1.
+    kind="strong" (discrete only) rescales all modes so the spectral radius
+    of the mode-summed Stein operator X -> sum_q A_q X A_q^T equals
+    `strong_radius` < 1.
     Deterministic given the seed.
     """
     if kind not in ("quadratic", "strong"):
@@ -200,7 +203,7 @@ def random_stable_model(time_domain, n, D, m=1, p=1, kind="quadratic", seed=0,
     rng = np.random.default_rng(seed)
     As = []
     if kind == "quadratic" and time_domain == CONTINUOUS:
-        lo, hi = ct_decay
+        lo, hi = CT_DECAY
         for _ in range(D):
             K = rng.standard_normal((n, n))
             d = np.maximum(rng.uniform(lo, hi, size=n), 0.05)
@@ -209,7 +212,7 @@ def random_stable_model(time_domain, n, D, m=1, p=1, kind="quadratic", seed=0,
         for _ in range(D):
             M = rng.standard_normal((n, n))
             s = np.linalg.svd(M, compute_uv=False)[0]
-            As.append(M * (dt_norm / s))
+            As.append(M * (DT_NORM / s))
     else:
         raw = [rng.standard_normal((n, n)) for _ in range(D)]
         scale = math.sqrt(strong_radius / stein_radius(raw))
@@ -217,6 +220,18 @@ def random_stable_model(time_domain, n, D, m=1, p=1, kind="quadratic", seed=0,
     Bs = [rng.standard_normal((n, m)) for _ in range(D)]
     Cs = [rng.standard_normal((p, n)) for _ in range(D)]
     return LssModel(time_domain, tuple(As), tuple(Bs), tuple(Cs))
+
+
+def difference_system(model1, model2):
+    """The model (diag(A_1, A_2), [B_1; B_2], [C_1, -C_2]) driven by the
+    shared input, whose output is y_1 - y_2."""
+    Z = np.zeros((model1.n, model2.n))
+    return LssModel(
+        model1.time_domain,
+        tuple(np.block([[A1, Z], [Z.T, A2]]) for A1, A2 in zip(model1.A, model2.A)),
+        tuple(np.vstack([B1, B2]) for B1, B2 in zip(model1.B, model2.B)),
+        tuple(np.hstack([C1, -C2]) for C1, C2 in zip(model1.C, model2.C)),
+    )
 
 
 def pad_with_dead_states(model, extra, seed=0, feed_input=False, feed_output=False):

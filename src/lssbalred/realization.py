@@ -5,17 +5,15 @@ The word-indexed reachability and observability matrices grow exponentially
 with the word length, so subspaces are computed by the equivalent fixed-point
 iteration  V_{k+1} = V_k + sum_q A_q V_k  starting from the span of the input
 (resp. transposed output) matrices; the fixed point is reached in at most n
-steps.  The literal word-enumeration matrices are exposed separately for
-small cross-checks.
+steps.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from ._linalg import orth_columns, orth_complement
-from .model import LssModel, dual_system
+from .model import LssModel, difference_system, dual_system
 
 
 @dataclass(frozen=True)
@@ -78,34 +76,6 @@ def word_matrix(A_list, word):
     for q in word:
         M = A_list[q] @ M
     return M
-
-
-def reachability_matrix(model, max_len=None):
-    """Literal word-enumeration reachability matrix [A_v B~]_{|v| <= max_len}.
-
-    Exponential in max_len; intended for small cross-checks only.
-    """
-    if max_len is None:
-        max_len = model.n
-    Bt = _stacked_input(model)
-    cols = []
-    for k in range(max_len + 1):
-        for word in product(range(model.num_modes), repeat=k):
-            cols.append(word_matrix(model.A, word) @ Bt)
-    return np.hstack(cols)
-
-
-def observability_matrix(model, max_len=None):
-    """Literal word-enumeration observability matrix, stacked row blocks
-    C~ A_v for |v| <= max_len."""
-    if max_len is None:
-        max_len = model.n
-    Ct = _stacked_output(model)
-    rows = []
-    for k in range(max_len + 1):
-        for word in product(range(model.num_modes), repeat=k):
-            rows.append(Ct @ word_matrix(model.A, word))
-    return np.vstack(rows)
 
 
 def _restrict(model, V):
@@ -198,23 +168,6 @@ def hankel_block(model, s, v):
     return markov_parameter(model, tuple(v) + tuple(s)).value
 
 
-def markov_match(model1, model2, max_len, rtol=1e-9):
-    """Compare all Markov parameters up to word length max_len.
-
-    Word enumeration is exponential in max_len; this is the brute-force
-    equivalence surrogate used in tests.
-    """
-    scale = 0.0
-    worst = 0.0
-    for k in range(max_len + 1):
-        for word in product(range(model1.num_modes), repeat=k):
-            M1 = markov_parameter(model1, word).value
-            M2 = markov_parameter(model2, word).value
-            worst = max(worst, float(np.max(np.abs(M1 - M2))))
-            scale = max(scale, float(np.max(np.abs(M1))))
-    return worst <= rtol * max(scale, 1.0)
-
-
 def equivalent(model1, model2):
     """Exact input-output equivalence via rank conditions: the difference
     system (shared input, subtracted outputs) must have its reachable image
@@ -227,16 +180,7 @@ def equivalent(model1, model2):
         or model1.time_domain != model2.time_domain
     ):
         return False
-    n1, n2 = model1.n, model2.n
-    As, Bs, Cs = [], [], []
-    for q in range(model1.num_modes):
-        A = np.zeros((n1 + n2, n1 + n2))
-        A[:n1, :n1] = model1.A[q]
-        A[n1:, n1:] = model2.A[q]
-        As.append(A)
-        Bs.append(np.vstack([model1.B[q], model2.B[q]]))
-        Cs.append(np.hstack([model1.C[q], -model2.C[q]]))
-    diff = LssModel(model1.time_domain, tuple(As), tuple(Bs), tuple(Cs))
+    diff = difference_system(model1, model2)
     reach = reachable_subspace(diff).basis
     if reach.shape[1] == 0:
         return True
@@ -246,17 +190,3 @@ def equivalent(model1, model2):
     kernel = unobservable_subspace(diff).basis
     resid = reach - kernel @ (kernel.T @ reach)
     return float(np.max(np.abs(resid))) <= 1e-9
-
-
-def recover_isomorphism(model1, model2, max_len=None, rtol=1e-8):
-    """Least-squares state-space transform S with S R1 = R2 over matched
-    reachability columns; returns (S, relative residual).  Both models must
-    be minimal and equivalent for the residual to vanish."""
-    if max_len is None:
-        max_len = max(model1.n, model2.n)
-    R1 = reachability_matrix(model1, max_len)
-    R2 = reachability_matrix(model2, max_len)
-    S, _, _, _ = np.linalg.lstsq(R1.T, R2.T, rcond=None)
-    S = S.T
-    resid = float(np.linalg.norm(S @ R1 - R2) / max(1.0, np.linalg.norm(R2)))
-    return S, resid

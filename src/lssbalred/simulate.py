@@ -14,18 +14,18 @@ replayable witness.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import expm, symmetrize
-from .model import CONTINUOUS, DISCRETE, LssModel, SwitchingSignal
+from .model import CONTINUOUS, DISCRETE, SwitchingSignal, difference_system
 from .stability import certificate_margin
 
 DWELL_ALIGN_TOL = 1e-9
-HORIZON_CAP = 10**5
+HORIZON_CAP = 10**5  # decay_horizon never exceeds this many steps
+DECAY_TARGET = 1e-8  # Lyapunov decay factor that decay_horizon asks for
+VERIFY_ATOL = 1e-6  # rounding allowance of the bound and energy checks
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class BoundCheckReport:
     slack: float
     trials: int
     passed: bool
-    ratios: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -82,23 +81,6 @@ class EnergyCheckReport:
     worst_output_slack: float  # max of future output energy - x^T Q x
     trials: int
     passed: bool
-
-
-def max_workers():
-    try:
-        return max(1, int(os.environ.get("LSSBALRED_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def run_trials(count, fn):
-    """Evaluate fn(0..count-1), possibly in threads; results are combined by
-    index so the degree of parallelism never changes the outcome."""
-    workers = max_workers()
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +246,6 @@ def _norm(energy):
     return np.sqrt(np.maximum(np.sum(energy, axis=-1), 0.0))
 
 
-def signal_l2_norm(samples):
-    """l2 norm of a discrete-time signal (one sample per row)."""
-    return float(np.sqrt(np.sum(np.asarray(samples, dtype=float) ** 2)))
-
-
 def zoh_input_norm(u, h=None):
     """Exact L2 norm of a zero-order-hold input (left Riemann sum); with
     h=None this is the plain discrete l2 norm."""
@@ -286,14 +263,14 @@ def _input_energy(model, u, h):
 # ---------------------------------------------------------------------------
 
 
-def random_switching(D, time_domain, rng, horizon, h=None, mean_dwell=None):
+def random_switching(D, time_domain, rng, horizon, h=None):
     """Random switching signal covering the horizon: i.i.d. uniform modes per
-    step in discrete time, exponential dwell times snapped to the simulation
-    grid in continuous time (so the step always divides every dwell)."""
+    step in discrete time; in continuous time exponential dwell times of mean
+    max(horizon / 8, 4 h) snapped to the simulation grid (so the step always
+    divides every dwell)."""
     if time_domain == DISCRETE:
         return SwitchingSignal(DISCRETE, tuple(int(q) for q in rng.integers(0, D, int(horizon))))
-    if mean_dwell is None:
-        mean_dwell = max(horizon / 8.0, 4.0 * h)
+    mean_dwell = max(horizon / 8.0, 4.0 * h)
     remaining = round(horizon / h)
     modes, dwells = [], []
     while remaining > 0:
@@ -412,40 +389,27 @@ def _signal_from_steps(model, steps, h):
 # ---------------------------------------------------------------------------
 
 
-def _error_system(model, reduced):
-    """The model (diag(A, A_r), [B; B_r], [C, -C_r]) whose output is y - y_r."""
-    Z = np.zeros((model.n, reduced.n))
-    return LssModel(
-        model.time_domain,
-        tuple(np.block([[A, Z], [Z.T, Ar]]) for A, Ar in zip(model.A, reduced.A)),
-        tuple(np.vstack([B, Br]) for B, Br in zip(model.B, reduced.B)),
-        tuple(np.hstack([C, -Cr]) for C, Cr in zip(model.C, reduced.C)),
-    )
-
-
-def verify_error_bound(model, result, trials, horizon, seed, h=None,
-                       atol=1e-6, keep_ratios=False):
+def verify_error_bound(model, result, trials, horizon, seed, h=None):
     """Simulate the error system, whose output is the difference of the
     original and reduced outputs, on random (u, q) and check
-    ||y - y_hat||_2 <= bound * ||u||_2 + atol.  Both norms are exact in
-    either time domain, so `atol` (reported as `slack`) only absorbs
+    ||y - y_hat||_2 <= bound * ||u||_2 + VERIFY_ATOL.  Both norms are exact
+    in either time domain, so VERIFY_ATOL (reported as `slack`) only absorbs
     rounding."""
     rng = np.random.default_rng(seed)
     modeseq, u, _ = _batch_signals(model, rng, trials, horizon, h)
-    _, _, energy = _run(_error_system(model, result.reduced_model), modeseq, u, h)
+    _, _, energy = _run(difference_system(model, result.reduced_model), modeseq, u, h)
     ratios = _norm(energy) / np.maximum(_norm(_input_energy(model, u, h)), 1e-30)
     worst = float(np.max(ratios))
-    passed = worst <= result.apriori_bound + atol
-    return BoundCheckReport(result.apriori_bound, worst, atol, trials, passed,
-                            ratios=ratios if keep_ratios else None)
+    passed = worst <= result.apriori_bound + VERIFY_ATOL
+    return BoundCheckReport(result.apriori_bound, worst, VERIFY_ATOL, trials, passed)
 
 
-def check_energy_lemmas(model, pair, trials, seed, horizon, h=None, atol=1e-6):
+def check_energy_lemmas(model, pair, trials, seed, horizon, h=None):
     """Trajectory check of the two grammian energy inequalities: reached
     states satisfy x^T P^-1 x <= input energy so far, and from the moment the
     input stops, x^T Q x dominates the remaining output energy.  States and
     energies are exact in either time domain, so each side passes when its
-    worst excess is at most atol times its energy scale."""
+    worst excess is at most VERIFY_ATOL times its energy scale."""
     rng = np.random.default_rng(seed)
     Pinv = np.linalg.inv(pair.P_ctrl)
     modeseq, u, cut = _batch_signals(model, rng, trials, horizon, h, cutoff=True)
@@ -457,8 +421,8 @@ def check_energy_lemmas(model, pair, trials, seed, horizon, h=None, atol=1e-6):
     future = np.sum(_from_cut(energy, cut), axis=1)
     x = states[np.arange(trials), cut]
     worst_out = float(np.max(future - np.einsum("ri,ij,rj->r", x, pair.Q_obs, x)))
-    passed = (worst_in <= atol * (1.0 + float(np.max(cum_in)))
-              and worst_out <= atol * (1.0 + float(np.max(future))))
+    passed = (worst_in <= VERIFY_ATOL * (1.0 + float(np.max(cum_in)))
+              and worst_out <= VERIFY_ATOL * (1.0 + float(np.max(future))))
     return EnergyCheckReport(worst_in, worst_out, trials, passed)
 
 
@@ -467,10 +431,10 @@ def check_energy_lemmas(model, pair, trials, seed, horizon, h=None, atol=1e-6):
 # ---------------------------------------------------------------------------
 
 
-def decay_horizon(model, cert, target=1e-8, h=None, cap=HORIZON_CAP):
+def decay_horizon(model, cert, h=None):
     """Horizon long enough for the certificate's quadratic Lyapunov function
-    to decay by `target`: returns steps (discrete) or seconds (continuous),
-    capped at `cap` steps."""
+    to decay by DECAY_TARGET: returns steps (discrete) or seconds
+    (continuous), capped at HORIZON_CAP steps."""
     P = cert.P
     m = certificate_margin(model, P)
     lam = float(np.linalg.eigvalsh(P)[-1])
@@ -479,11 +443,11 @@ def decay_horizon(model, cert, target=1e-8, h=None, cap=HORIZON_CAP):
     rate = m / lam
     if model.is_discrete:
         factor = max(1e-12, 1.0 - min(rate, 1.0 - 1e-12))
-        steps = int(math.ceil(math.log(target) / math.log(factor)))
-        return max(8, min(steps, cap))
-    T = math.log(1.0 / target) / rate
+        steps = int(math.ceil(math.log(DECAY_TARGET) / math.log(factor)))
+        return max(8, min(steps, HORIZON_CAP))
+    T = math.log(1.0 / DECAY_TARGET) / rate
     if h is not None:
-        T = min(T, cap * h)
+        T = min(T, HORIZON_CAP * h)
         T = max(T, 8 * h)
         T = round(T / h) * h
     return T

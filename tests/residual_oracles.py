@@ -1,5 +1,6 @@
 """Hand-written residual formulas of the constraint families, the dense
-Kronecker form of the mode-summed Stein operator, and the gain bisection.
+Kronecker form of the mode-summed Stein operator, the gain bisection, and
+the brute-force word-enumeration oracles.
 
 Independent oracles for :func:`lssbalred.lmi.family_system`: each formula is
 assembled directly from the model matrices, without LmiTerm/LmiBlock, so the
@@ -8,12 +9,19 @@ matrices check :func:`lssbalred._linalg.stein_radius` and
 :func:`lssbalred._linalg.stein_solve` by dense eigenvalues and a dense
 linear solve, O(n^6); keep n <= 32.  :func:`bisection_gain` checks
 :func:`lssbalred.gain.l2_gain_upper_bound` by locating the smallest
-certified gamma with feasibility probes only.
+certified gamma with feasibility probes only.  The remaining oracles
+enumerate words, series terms or Schur complements directly and are
+exponential or dense; keep their inputs small.
 """
+
+from itertools import product
 
 import numpy as np
 
-from lssbalred import InfeasibleError, gamma_feasible
+from lssbalred import GrammianPair, InfeasibleError, check_strong_stability, gamma_feasible
+from lssbalred._linalg import max_eig, min_eig, mode_sum, require_symmetric, symmetrize
+from lssbalred.embeddings import _require_discrete
+from lssbalred.realization import markov_parameter, word_matrix
 
 
 def stability_residual(model, P, q):
@@ -126,3 +134,199 @@ def bisection_gain(model, tol=1e-3, cap=60):
         else:
             lo = mid
     return best.gamma, best
+
+
+def project_psd(M, floor=0.0):
+    """Frobenius-nearest symmetric matrix with all eigenvalues >= floor."""
+    M = require_symmetric(M, what="project_psd input")
+    w, V = np.linalg.eigh(M)
+    if w[0] >= floor:
+        return M
+    w = np.maximum(w, floor)
+    return symmetrize((V * w) @ V.T)
+
+
+def schur_equivalence_check(A, P, S, domain, tol=1e-10):
+    """The direct quadratic form and its Schur-complement block form must
+    agree in definiteness sign.
+
+    Continuous: A^T P + P A + S^T S  vs  [[P^-1 A^T + A P^-1, P^-1 S^T],
+                                          [S P^-1, -I]].
+    Discrete:  -P + A^T P A + S^T S  vs  [[-P^-1 + A P^-1 A^T, -A P^-1 S^T],
+                                          [-S P^-1 A^T, -I + S P^-1 S^T]].
+    """
+    A = np.asarray(A, dtype=float)
+    S = np.atleast_2d(np.asarray(S, dtype=float))
+    P = require_symmetric(P, what="P")
+    if min_eig(P) <= 0:
+        raise ValueError("P must be positive definite")
+    Pinv = np.linalg.inv(P)
+    k = S.shape[0]
+    if domain == "ct":
+        direct = A.T @ P + P @ A + S.T @ S
+        block = np.block([
+            [Pinv @ A.T + A @ Pinv, Pinv @ S.T],
+            [S @ Pinv, -np.eye(k)],
+        ])
+    elif domain == "dt":
+        direct = -P + A.T @ P @ A + S.T @ S
+        block = np.block([
+            [-Pinv + A @ Pinv @ A.T, -A @ Pinv @ S.T],
+            [-S @ Pinv @ A.T, -np.eye(k) + S @ Pinv @ S.T],
+        ])
+    else:
+        raise ValueError(f"unknown domain {domain!r}")
+
+    def sign_of(M):
+        lam = max_eig(M)
+        cut = tol * max(1.0, float(np.max(np.abs(M))))
+        if lam > cut:
+            return 1
+        if lam < -cut:
+            return -1
+        return 0
+
+    return sign_of(direct) == sign_of(block)
+
+
+def nice_grammian_series_oracle(model, depth, term_budget=10**7):
+    """Brute-force truncated series  sum over words |w| <= depth of
+    A_w G A_w^T  (and the transposed analog); monotone nondecreasing in
+    depth.
+
+    Every word product A_w is materialized individually (batched over the
+    words of each length), so this stays independent of the layer-sum
+    Stein solve it cross-checks.
+    """
+    if not model.is_discrete:
+        raise ValueError("series oracle is defined for discrete-time models only")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    D = model.num_modes
+    total = sum(D**k for k in range(depth + 1))
+    if total > term_budget:
+        raise ValueError(f"oracle budget exceeded: {total} words > {term_budget}")
+    GB = sum(B @ B.T for B in model.B)
+    GC = sum(C.T @ C for C in model.C)
+    n = model.n
+    words = np.eye(n)[None, :, :]  # A_w for the empty word
+    P = np.zeros((n, n))
+    Q = np.zeros((n, n))
+    for k in range(depth + 1):
+        if k > 0:
+            # appending letter q to w gives A_{wq} = A_q A_w
+            words = np.concatenate(
+                [np.einsum("ij,wjk->wik", A, words) for A in model.A]
+            )
+        P += np.einsum("wij,jk,wlk->il", words, GB, words)
+        Q += np.einsum("wji,jk,wkl->il", words, GC, words)
+    return GrammianPair(symmetrize(P), symmetrize(Q), "nice", margin=0.0)
+
+
+def truncated_hankel_square_sum(model, tol=1e-9, max_depth=20000):
+    """Sum of squared Frobenius norms of all Hankel blocks H_{s,v} with
+    |v|, |s| <= depth, where the depth is chosen so the geometric tail bound
+    (from the Stein radius) falls below `tol`.
+
+    Algebraically equal to trace(P_depth Q_depth) for the depth-truncated
+    grammian series, computed by the layer recursion instead of word
+    enumeration.  Converges to trace(P Q) of the nice grammians.  Returns
+    (value, depth).
+    """
+    if not model.is_discrete:
+        raise ValueError("Hankel sums are defined for discrete-time models only")
+    report = check_strong_stability(model)
+    if not report.stable:
+        raise InfeasibleError("model is not strongly stable")
+    rho = report.kronecker_spectral_radius
+    GB = sum(B @ B.T for B in model.B)
+    GC = sum(C.T @ C for C in model.C)
+    layerP, layerQ = GB.copy(), GC.copy()
+    P, Q = GB.copy(), GC.copy()
+    depth = 0
+    for k in range(1, max_depth + 1):
+        layerP = mode_sum(model.A, layerP)
+        layerQ = mode_sum([A.T for A in model.A], layerQ)
+        P = P + layerP
+        Q = Q + layerQ
+        depth = k
+        tail = max(np.linalg.norm(layerP), np.linalg.norm(layerQ)) * rho / (1.0 - rho)
+        scale = max(np.linalg.norm(P), np.linalg.norm(Q), 1.0)
+        if tail * scale < tol:
+            break
+    return float(np.trace(P @ Q)), depth
+
+
+def exhaustive_stochastic_energy(model, u, horizon):
+    """Word-sum oracle: sum over t < horizon and all words of length t+1 of
+    the squared deterministic output at time t.  Exponential in the
+    horizon."""
+    _require_discrete(model)
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    if u.shape[0] < horizon:
+        raise ValueError("input must cover the horizon")
+    D, n = model.num_modes, model.n
+    states = [np.zeros(n)]  # one state per word prefix of length t
+    total = 0.0
+    for t in range(horizon):
+        total += sum(
+            float(np.sum((C @ x) ** 2)) for x in states for C in model.C
+        )
+        states = [
+            model.A[q] @ x + model.B[q] @ u[t] for x in states for q in range(D)
+        ]
+    return total
+
+
+def reachability_matrix(model, max_len=None):
+    """Literal word-enumeration reachability matrix [A_v B~]_{|v| <= max_len};
+    exponential in max_len."""
+    if max_len is None:
+        max_len = model.n
+    Bt = np.hstack(model.B)
+    cols = []
+    for k in range(max_len + 1):
+        for word in product(range(model.num_modes), repeat=k):
+            cols.append(word_matrix(model.A, word) @ Bt)
+    return np.hstack(cols)
+
+
+def observability_matrix(model, max_len=None):
+    """Literal word-enumeration observability matrix, stacked row blocks
+    C~ A_v for |v| <= max_len."""
+    if max_len is None:
+        max_len = model.n
+    Ct = np.vstack(model.C)
+    rows = []
+    for k in range(max_len + 1):
+        for word in product(range(model.num_modes), repeat=k):
+            rows.append(Ct @ word_matrix(model.A, word))
+    return np.vstack(rows)
+
+
+def markov_match(model1, model2, max_len, rtol=1e-9):
+    """Compare all Markov parameters up to word length max_len, the
+    brute-force equivalence surrogate; exponential in max_len."""
+    scale = 0.0
+    worst = 0.0
+    for k in range(max_len + 1):
+        for word in product(range(model1.num_modes), repeat=k):
+            M1 = markov_parameter(model1, word).value
+            M2 = markov_parameter(model2, word).value
+            worst = max(worst, float(np.max(np.abs(M1 - M2))))
+            scale = max(scale, float(np.max(np.abs(M1))))
+    return worst <= rtol * max(scale, 1.0)
+
+
+def recover_isomorphism(model1, model2, max_len=None):
+    """Least-squares state-space transform S with S R1 = R2 over matched
+    reachability columns; returns (S, relative residual).  Both models must
+    be minimal and equivalent for the residual to vanish."""
+    if max_len is None:
+        max_len = max(model1.n, model2.n)
+    R1 = reachability_matrix(model1, max_len)
+    R2 = reachability_matrix(model2, max_len)
+    S, _, _, _ = np.linalg.lstsq(R1.T, R2.T, rcond=None)
+    S = S.T
+    resid = float(np.linalg.norm(S @ R1 - R2) / max(1.0, np.linalg.norm(R2)))
+    return S, resid

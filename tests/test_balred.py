@@ -12,7 +12,8 @@ from lssbalred import (
 )
 from lssbalred.balred import admissible_orders, compute_pair
 from lssbalred.model import pad_with_dead_states
-from lssbalred.realization import is_minimal, markov_match, minimize
+from lssbalred.realization import is_minimal, minimize
+from residual_oracles import markov_match
 
 
 class TestBalance:
@@ -129,7 +130,7 @@ class TestReduce:
     def test_example1_by_order(self, example1):
         # trace tightening separates the sigmas (the untightened solver is
         # free to return the same matrix for both families, tying them all)
-        res = reduce_model(example1, order=2, source="lmi", tighten=True)
+        res = reduce_model(example1, order=2, source="lmi")
         assert res.retained == 2
         assert res.reduced_model.n == 2
         assert res.apriori_bound == pytest.approx(2.0 * np.sum(res.sigmas[2:]))
@@ -156,10 +157,10 @@ class TestReduce:
     def test_minimize_first_matches_reduction_of_minimal_model(self, example1):
         padded = pad_with_dead_states(example1, 1, seed=4)
         res_padded = reduce_model(padded, order=2, minimize_first=True,
-                                  source="lmi", tighten=True)
+                                  source="lmi")
         assert res_padded.extras["minimized_first"]
         assert res_padded.extras["original_order"] == 4
-        res_minimal = reduce_model(minimize(padded), order=2, source="lmi", tighten=True)
+        res_minimal = reduce_model(minimize(padded), order=2, source="lmi")
         assert res_padded.reduced_model.n == res_minimal.reduced_model.n == 2
         # both reduced models realize the same input-output map
         assert markov_match(res_padded.reduced_model, res_minimal.reduced_model,

@@ -14,12 +14,11 @@ from lssbalred import (
     stochastic_embedding,
 )
 from lssbalred.balred import balance, truncate
-from lssbalred.embeddings import exhaustive_stochastic_energy, feasible_block_pair
+from lssbalred.embeddings import MC_CHUNK, feasible_block_pair
 from lssbalred.model import pad_with_dead_states
-from lssbalred.realization import markov_match
 from lssbalred.simulate import _dt_run_batch
 from conftest import scalar_model, scalar_two_mode
-from residual_oracles import averaged_residuals
+from residual_oracles import averaged_residuals, exhaustive_stochastic_energy, markov_match
 
 
 class TestEmbeddingLayout:
@@ -116,10 +115,6 @@ class TestStochasticEmbedding:
         assert emb.p_mode == pytest.approx(0.5)
         np.testing.assert_allclose(emb.model.A[0], [[0.3 * np.sqrt(2.0)]])
 
-    def test_rejects_sub_stochastic_p(self, dt_two_mode):
-        with pytest.raises(ValueError):
-            stochastic_embedding(dt_two_mode, p=0.25)
-
     def test_single_mode_is_deterministic(self, dt_scalar):
         u = np.zeros((10, 1))
         u[0, 0] = 1.0
@@ -153,13 +148,24 @@ class TestStochasticEmbedding:
         r2 = monte_carlo_stochastic_energy(dt_two_mode, u, 5000, 8, seed=3)
         assert r1.mc_mean == r2.mc_mean
 
-    def test_thread_count_does_not_change_result(self, dt_two_mode, monkeypatch):
+    def test_chunks_draw_from_their_own_streams(self, dt_two_mode):
         u = np.zeros((8, 1))
         u[0, 0] = 1.0
-        base = monte_carlo_stochastic_energy(dt_two_mode, u, 9000, 8, seed=4)
-        monkeypatch.setenv("LSSBALRED_THREADS", "4")
-        threaded = monte_carlo_stochastic_energy(dt_two_mode, u, 9000, 8, seed=4)
-        assert base.mc_mean == threaded.mc_mean
+        rep = monte_carlo_stochastic_energy(dt_two_mode, u, 9000, 8, seed=4)
+        scaled = stochastic_embedding(dt_two_mode).model
+        sizes = [MC_CHUNK, MC_CHUNK, 9000 - 2 * MC_CHUNK]
+        assert sizes[-1] > 0
+        total = total_sq = 0
+        for i, R in enumerate(sizes):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(i,)))
+            seq = rng.integers(0, 2, size=(R, 8))
+            _, y = _dt_run_batch(scaled, seq, np.broadcast_to(u, (R, 8, 1)))
+            energies = np.sum(y**2, axis=(1, 2))
+            total += float(np.sum(energies))
+            total_sq += float(np.sum(energies**2))
+        mean = total / 9000
+        assert rep.mc_mean == mean
+        assert rep.mc_se == np.sqrt(max(total_sq / 9000 - mean**2, 0.0) / 9000)
 
 
 class TestAveragedAndScaling:
@@ -194,12 +200,11 @@ class TestAveragedAndScaling:
     def test_reduction_commutes_with_stochastic_scaling(self):
         model = random_stable_model("discrete", 4, 2, kind="strong", seed=13)
         pair = nice_grammians(model)
-        p = 1.0 / model.num_modes
         bal = balance(model, pair)
         from lssbalred.balred import admissible_orders
         r = admissible_orders(bal.sigmas)[0]
-        red_then_scale = stochastic_embedding(truncate(bal, r).reduced_model, p).model
-        scaled = stochastic_embedding(model, p).model
+        red_then_scale = stochastic_embedding(truncate(bal, r).reduced_model).model
+        scaled = stochastic_embedding(model).model
         # the pair is a grammian pair of the scaled model as well
         bal2 = balance(scaled, pair)
         scale_then_red = truncate(bal2, r, force_ties=True).reduced_model

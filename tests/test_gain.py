@@ -83,8 +83,8 @@ class TestHankelBound:
         assert hankel_upper_bound(GrammianPair(np.eye(3), np.eye(3), "manual")) == pytest.approx(1.0)
 
     def test_scalar_ct_tight_pair_dominates_empirical(self, ct_scalar):
-        P = lmi_grammian(ct_scalar, "controllability", tighten=True)
-        Q = lmi_grammian(ct_scalar, "observability", tighten=True)
+        P = lmi_grammian(ct_scalar, "controllability")
+        Q = lmi_grammian(ct_scalar, "observability")
         smax = hankel_upper_bound(GrammianPair(P, Q, "lmi"))
         assert smax == pytest.approx(0.5, abs=0.02)
         est = empirical_hankel_gain(ct_scalar, 150, 40.0, seed=3, h=0.02)

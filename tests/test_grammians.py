@@ -14,18 +14,20 @@ from lssbalred import (
     dual_system,
     lmi_grammian,
     minimize_with_pair,
-    nice_grammian_series_oracle,
     nice_grammians,
     random_stable_model,
     singular_values,
     transport_pair,
-    truncated_hankel_square_sum,
 )
 from lssbalred.grammians import pair_margin
 from lssbalred.model import pad_with_dead_states
 from lssbalred.realization import is_minimal, reachable_subspace, unobservable_subspace
 from conftest import scalar_model, scalar_two_mode
-from residual_oracles import averaged_residuals
+from residual_oracles import (
+    averaged_residuals,
+    nice_grammian_series_oracle,
+    truncated_hankel_square_sum,
+)
 
 # Frozen oracle values for example1 with P = Q = diag(2, 1, 0.5): max
 # eigenvalues of the hand-assembled residual matrices
@@ -60,7 +62,7 @@ class TestMembership:
 class TestLmiGrammian:
     def test_scalar_ct_tightens_to_half(self, ct_scalar):
         for kind in ("controllability", "observability"):
-            G = lmi_grammian(ct_scalar, kind, tighten=True)
+            G = lmi_grammian(ct_scalar, kind)
             assert 0.5 <= float(G[0, 0]) <= 0.55
 
     def test_example1_membership_of_solver_output(self, example1):

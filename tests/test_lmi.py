@@ -9,15 +9,13 @@ from lssbalred import (
     LmiTerm,
     check_membership,
     family_system,
-    project_psd,
     random_stable_model,
-    schur_equivalence_check,
     solve_feasibility,
     tighten_trace,
 )
 from lssbalred._linalg import svec, svec_dim, sym_basis, symmetrize
 from lssbalred.lmi import _CompiledSystem, lifted_gain_system
-from residual_oracles import family_residuals
+from residual_oracles import family_residuals, project_psd, schur_equivalence_check
 
 # Every constraint family in every time domain it is defined for.
 FAMILY_CASES = [(f, td) for f in ("S", "O", "C", "G") for td in ("continuous", "discrete")]

@@ -16,8 +16,9 @@ from lssbalred import (
     validate_model,
 )
 from lssbalred.model import pad_with_dead_states
-from lssbalred.realization import markov_match, markov_parameter
+from lssbalred.realization import markov_parameter
 from lssbalred.stability import check_strong_stability
+from residual_oracles import markov_match
 
 
 def test_example1_is_valid(example1):

@@ -15,14 +15,14 @@ from lssbalred import (
     unobservable_subspace,
 )
 from lssbalred.model import pad_with_dead_states
-from lssbalred.realization import (
-    equivalent,
+from lssbalred.realization import equivalent
+from conftest import scalar_two_mode
+from residual_oracles import (
     markov_match,
     observability_matrix,
     reachability_matrix,
     recover_isomorphism,
 )
-from conftest import scalar_two_mode
 
 
 class TestSubspaces:

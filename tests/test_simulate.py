@@ -14,7 +14,6 @@ from lssbalred import (
     nice_grammians,
     random_stable_model,
     reduce_model,
-    signal_l2_norm,
     simulate,
     verify_error_bound,
     zoh_input_norm,
@@ -157,7 +156,7 @@ class TestSimulate:
 
 class TestNorms:
     def test_dt_pythagorean(self):
-        assert signal_l2_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
+        assert zoh_input_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
 
     def test_zoh_norm_exact_for_held_input(self):
         u = np.array([[1.0], [2.0], [0.0]])
@@ -189,7 +188,7 @@ class TestEmpiricalGain:
     def test_witness_is_replayable(self, dt_scalar):
         est = empirical_gain(dt_scalar, 25, 100, seed=11)
         traj = simulate(dt_scalar, est.witness_input, est.witness_switching)
-        ratio = signal_l2_norm(traj.outputs) / zoh_input_norm(est.witness_input)
+        ratio = zoh_input_norm(traj.outputs) / zoh_input_norm(est.witness_input)
         assert ratio == pytest.approx(est.lower_bound, rel=1e-12)
 
     def test_ct_witness_is_replayable(self):
@@ -316,12 +315,12 @@ class TestEmptyRuns:
 class TestDecayHorizon:
     def test_dt_horizon_reasonable(self, dt_scalar):
         cert = check_quadratic_stability(dt_scalar)
-        steps = decay_horizon(dt_scalar, cert, target=1e-8)
+        steps = decay_horizon(dt_scalar, cert)
         assert 8 <= steps <= 10**5
         # 0.5^(2k) decay: ~27 steps reach 1e-8
         assert steps < 500
 
     def test_ct_horizon_scales_with_margin(self, ct_scalar):
         cert = check_quadratic_stability(ct_scalar)
-        T = decay_horizon(ct_scalar, cert, target=1e-8, h=0.01)
+        T = decay_horizon(ct_scalar, cert, h=0.01)
         assert T > 0
