@@ -9,15 +9,15 @@ grammian pair of the reduced model; with strict input grammians the reduced
 model stays quadratically stable.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import chol_pd, min_eig
 from .grammians import (
     CONTROLLABILITY,
     OBSERVABILITY,
     GrammianPair,
+    _square_root_factors,
     averaged_grammians,
     lmi_grammian,
     nice_grammians,
@@ -50,8 +50,9 @@ class ReductionResult:
     sigmas: np.ndarray
     apriori_bound: float
     balancing: BalancingResult
-    strict_pair: bool = True
-    extras: dict = field(default_factory=dict)
+    strict_pair: bool
+    minimized_first: bool
+    original_order: int  # order of the model before minimize_first
 
     @property
     def discarded_sigmas(self):
@@ -64,16 +65,12 @@ class ReductionResult:
 
 def balance(model, pair):
     """Balancing transform for a grammian pair; the transformed model has
-    P = Q = diag(sigmas).  Raises on numerically singular grammians."""
-    P = pair.P_ctrl
-    Q = pair.Q_obs
-    wp = np.linalg.eigvalsh(P)
+    P = Q = diag(sigmas).  Raises on grammians that are not symmetric positive
+    definite or are numerically singular."""
+    U, w, K = _square_root_factors(pair)
+    wp = np.linalg.eigvalsh(pair.P_ctrl)
     if wp[0] <= 0 or wp[-1] / wp[0] > CONDITION_LIMIT:
         raise ValueError("ill-conditioned grammian")
-    if min_eig(Q) <= 0:
-        raise ValueError("observability grammian is not positive definite")
-    U = chol_pd(P, what="controllability grammian")
-    w, K = np.linalg.eigh(U.T @ Q @ U)
     order = np.argsort(w, kind="stable")[::-1]
     w = w[order]
     K = K[:, order]
@@ -110,13 +107,10 @@ def truncate(bal, r, force_ties=False):
     if not (1 <= r <= n):
         raise ValueError(f"retained order must be in 1..{n}, got {r}")
     sigmas = bal.sigmas
-    if r < n:
-        gap = (sigmas[r - 1] - sigmas[r]) / max(float(sigmas[0]), 1e-300)
-        if gap < TIE_REL_TOL and not force_ties:
-            raise ValueError(
-                f"sigma_{r} and sigma_{r + 1} are tied (relative gap {gap:.2e}); "
-                "pass force_ties to truncate anyway"
-            )
+    if r < n and not force_ties and r not in admissible_orders(sigmas):
+        raise ValueError(
+            f"sigma_{r} and sigma_{r + 1} are tied; pass force_ties to truncate anyway"
+        )
     bm = bal.balanced_model
     reduced = LssModel(
         bm.time_domain,
@@ -127,7 +121,8 @@ def truncate(bal, r, force_ties=False):
     )
     bound = 2.0 * float(np.sum(sigmas[r:]))
     strict = pair_margin(bal.balanced_model, GrammianPair(np.diag(sigmas), np.diag(sigmas), "manual")) > 0
-    return ReductionResult(reduced, r, sigmas.copy(), bound, bal, strict_pair=strict)
+    return ReductionResult(reduced, r, sigmas.copy(), bound, bal, strict,
+                           minimized_first=False, original_order=n)
 
 
 def compute_pair(model, source="lmi", tighten=True, margin=None):
@@ -145,8 +140,7 @@ def compute_pair(model, source="lmi", tighten=True, margin=None):
         pair = averaged_grammians(model, margin=margin)
     else:
         raise ValueError(f"unknown grammian source {source!r}")
-    return GrammianPair(pair.P_ctrl, pair.Q_obs, pair.provenance,
-                        margin=pair_margin(model, pair))
+    return replace(pair, margin=pair_margin(model, pair))
 
 
 def reduce_model(model, order=None, bound_budget=None, pair=None, source="lmi",
@@ -154,7 +148,8 @@ def reduce_model(model, order=None, bound_budget=None, pair=None, source="lmi",
     """End-to-end balanced truncation.
 
     Exactly one of `order` (retained order r) or `bound_budget` (error budget
-    beta; the smallest r with 2 * tail sum <= beta is chosen) must be given.
+    beta; the smallest r among admissible_orders and n with 2 * tail sum <=
+    beta is chosen) must be given.
     `minimize_first` reduces the model to a minimal realization before
     balancing, which never worsens the error bound.
     """
@@ -168,21 +163,10 @@ def reduce_model(model, order=None, bound_budget=None, pair=None, source="lmi",
     elif pair.P_ctrl.shape[0] != work.n:
         raise ValueError("supplied grammian pair does not match the model being balanced")
     bal = balance(work, pair)
-    sigmas = bal.sigmas
     if order is not None:
         r = int(order)
     else:
-        tails = 2.0 * (np.cumsum(sigmas[::-1])[::-1])  # tails[k] = 2*sum(sigmas[k:])
-        r = work.n
-        for k in range(1, work.n + 1):
-            tail = tails[k] if k < work.n else 0.0
-            if tail <= bound_budget:
-                r = k
-                break
+        tails = 2.0 * (np.cumsum(bal.sigmas[::-1])[::-1])  # tails[k] = 2*sum(sigmas[k:])
+        r = next((k for k in admissible_orders(bal.sigmas) if tails[k] <= bound_budget), work.n)
     result = truncate(bal, r, force_ties=force_ties)
-    return replace(result, extras={
-        **result.extras,
-        "minimized_first": bool(minimize_first),
-        "original_order": model.n,
-        "singular_values_convention": "sqrt of eigenvalues of P*Q",
-    })
+    return replace(result, minimized_first=bool(minimize_first), original_order=model.n)

@@ -20,7 +20,7 @@ from .embeddings import build_uncertain_embedding, check_uncertain_minimality_eq
 from .errors import InfeasibleError, LssError, ModelFormatError
 from .gain import l2_gain_upper_bound
 from .grammians import GrammianPair, check_membership, singular_values
-from .model import load_model, validate_model
+from .model import _matrix_to_lists, _parse_matrix, load_model
 from .realization import is_minimal
 from .simulate import (
     decay_horizon,
@@ -37,10 +37,6 @@ from .stability import check_quadratic_stability, check_strong_stability
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
-
-
-def _mat(M):
-    return [[float(x) for x in row] for row in np.atleast_2d(np.asarray(M))]
 
 
 def _vec(v):
@@ -69,37 +65,37 @@ def _emit(report, out_path):
         print(text)
 
 
-def _config_dict(args, keys):
-    return {k: getattr(args, k.replace("-", "_")) for k in keys}
-
-
 def _report(command, args, model, result, status, config_keys):
     return {
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "status": status,
         "model": _model_info(model, args.model),
-        "config": _config_dict(args, config_keys),
+        "config": {k: getattr(args, k) for k in config_keys},
         "result": result,
     }
 
 
-def _default_horizon(model, args):
+def _horizon_and_step(model, args):
+    """(horizon, h): --horizon, else a certified decay horizon; h is None in discrete time."""
+    h = None if model.is_discrete else args.step
     if args.horizon is not None:
-        return args.horizon if not model.is_discrete else int(args.horizon)
+        return (int(args.horizon) if model.is_discrete else args.horizon), h
     cert = check_quadratic_stability(model)
     if cert is None:
-        return 200 if model.is_discrete else 20.0
-    return decay_horizon(model, cert, h=None if model.is_discrete else args.step)
+        return (200 if model.is_discrete else 20.0), h
+    return decay_horizon(model, cert, h=h), h
 
 
 def _load_pair(path, n):
-    """Explicit grammian pair from a JSON file {"P": [[...]], "Q": [[...]]};
-    lets a report reproduce a hand-picked balanced pair exactly."""
+    """Explicit grammian pair from a JSON file {"P": [[...]], "Q": [[...]]}, parsed
+    like a model file's matrices; lets a report reproduce a hand-picked pair exactly."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    P = np.array(data["P"], dtype=float)
-    Q = np.array(data["Q"], dtype=float)
+    if not isinstance(data, dict) or not {"P", "Q"} <= data.keys():
+        raise ModelFormatError('pair file must contain a JSON object {"P": ..., "Q": ...}')
+    P = _parse_matrix(data["P"], "P of the pair file")
+    Q = _parse_matrix(data["Q"], "Q of the pair file")
     if P.shape != (n, n) or Q.shape != (n, n):
         raise ModelFormatError(f"pair file matrices must be {n}x{n}")
     return GrammianPair(P, Q, "manual")
@@ -112,7 +108,7 @@ def cmd_check(args, model):
         "quadratically_stable": cert is not None,
     }
     if cert is not None:
-        result["certificate"] = _mat(cert.P)
+        result["certificate"] = _matrix_to_lists(cert.P)
         result["certificate_margin"] = float(cert.margin)
     if model.is_discrete:
         rep = check_strong_stability(model)
@@ -132,8 +128,8 @@ def cmd_grammians(args, model):
         "provenance": pair.provenance,
         "margin": float(pair.margin),
         "trace_tightened": args.grammians == "lmi",
-        "controllability": _mat(pair.P_ctrl),
-        "observability": _mat(pair.Q_obs),
+        "controllability": _matrix_to_lists(pair.P_ctrl),
+        "observability": _matrix_to_lists(pair.Q_obs),
         "sigmas": _vec(sig.values),
         "residuals": {
             "controllability": _vec(check_membership(model, pair.P_ctrl, "C").mode_residuals),
@@ -163,19 +159,19 @@ def cmd_reduce(args, model):
     bal = res.balancing
     reduced = res.reduced_model
     result = {
-        "original_order": int(res.extras.get("original_order", model.n)),
+        "original_order": int(res.original_order),
         "retained": int(res.retained),
         "sigmas": _vec(res.sigmas),
         "apriori_bound": float(res.apriori_bound),
-        "transform": _mat(bal.transform.S),
+        "transform": _matrix_to_lists(bal.transform.S),
         "transform_condition": float(bal.transform.condition_estimate),
         "grammian_provenance": bal.pair.provenance,
         "strict_pair": bool(res.strict_pair),
-        "minimized_first": bool(res.extras.get("minimized_first", False)),
+        "minimized_first": bool(res.minimized_first),
         "reduced_model": {
             "time_domain": reduced.time_domain,
             "modes": [
-                {"A": _mat(A), "B": _mat(B), "C": _mat(C)}
+                {"A": _matrix_to_lists(A), "B": _matrix_to_lists(B), "C": _matrix_to_lists(C)}
                 for A, B, C in zip(reduced.A, reduced.B, reduced.C)
             ],
         },
@@ -199,8 +195,7 @@ def cmd_gain(args, model):
 
 def cmd_simulate(args, model):
     rng = np.random.default_rng(args.seed)
-    horizon = _default_horizon(model, args)
-    h = None if model.is_discrete else args.step
+    horizon, h = _horizon_and_step(model, args)
     signal = random_switching(model.num_modes, model.time_domain, rng, horizon, h=h)
     steps = steps_from_signal(signal, h=h)
     u = random_input_batch(rng, 1, steps.size, model.m, model.time_domain, h=h)[0]
@@ -244,8 +239,7 @@ def _write_csv(path, traj, model):
 
 def cmd_verify_bound(args, model):
     res = _reduce(args, model)
-    horizon = _default_horizon(model, args)
-    h = None if model.is_discrete else args.step
+    horizon, h = _horizon_and_step(model, args)
     report = verify_error_bound(model, res, args.trials, horizon, args.seed, h=h)
     result = {
         "retained": int(res.retained),
@@ -278,13 +272,32 @@ def cmd_embed(args, model):
     return result, "ok"
 
 
+# Every flag a subcommand may take, as argparse keyword arguments.
+FLAGS = {
+    "order": dict(type=int, default=None, help="retained order r"),
+    "bound": dict(type=float, default=None, help="error-bound budget"),
+    "grammians": dict(default="lmi", choices=GRAMMIAN_SOURCES),
+    "minimize_first": dict(action="store_true"),
+    "force_ties": dict(action="store_true"),
+    "margin": dict(type=float, default=None),
+    "tol": dict(type=float, default=1e-3),
+    "trials": dict(type=int, default=0),
+    "horizon": dict(type=float, default=None),
+    "step": dict(type=float, default=0.01),
+    "seed": dict(type=int, default=0),
+    "csv": dict(default=None, help="trajectory CSV output"),
+    "pair_file": dict(default=None, help='explicit grammian pair JSON {"P": ..., "Q": ...}'),
+}
+
+# Each subcommand with the flags it takes besides --model and --out; the
+# report's config records exactly these.
 COMMANDS = {
     "check": (cmd_check, ["seed", "margin"]),
     "grammians": (cmd_grammians, ["seed", "margin", "grammians"]),
     "reduce": (cmd_reduce, ["seed", "margin", "grammians", "order", "bound",
                             "minimize_first", "force_ties", "pair_file"]),
     "gain": (cmd_gain, ["seed", "tol"]),
-    "simulate": (cmd_simulate, ["seed", "horizon", "step"]),
+    "simulate": (cmd_simulate, ["seed", "horizon", "step", "csv"]),
     "verify-bound": (cmd_verify_bound, ["seed", "margin", "grammians", "order",
                                         "bound", "trials", "horizon", "step",
                                         "minimize_first", "force_ties", "pair_file"]),
@@ -299,24 +312,12 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--order", type=int, default=None, help="retained order r")
-        p.add_argument("--bound", type=float, default=None, help="error-bound budget")
-        p.add_argument("--grammians", default="lmi", choices=GRAMMIAN_SOURCES)
-        p.add_argument("--minimize-first", action="store_true")
-        p.add_argument("--force-ties", action="store_true")
-        p.add_argument("--margin", type=float, default=None)
-        p.add_argument("--tol", type=float, default=1e-3)
-        p.add_argument("--trials", type=int, default=0)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--step", type=float, default=0.01)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--csv", default=None, help="trajectory CSV output (simulate)")
-        p.add_argument("--pair-file", default=None,
-                       help='explicit grammian pair JSON {"P": ..., "Q": ...}')
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
     return parser
 
 
@@ -337,10 +338,6 @@ def main(argv=None):
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = validate_model(model)
-    if not report.ok:
-        print("error: invalid model: " + "; ".join(report.violations), file=sys.stderr)
-        return EXIT_INPUT
     fn, config_keys = COMMANDS[args.command]
     try:
         result, status = fn(args, model)
@@ -349,7 +346,7 @@ def main(argv=None):
                       {"error": str(exc)}, "infeasible", config_keys)
         _emit(rep, args.out)
         return EXIT_INFEASIBLE
-    except (ValueError, LssError) as exc:
+    except (OSError, ValueError, LssError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     rep = _report(args.command, args, model, result, status, config_keys)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_eig, min_eig, orth_columns, stein_radius, stein_solve
+from ._linalg import max_eig, min_eig, stein_radius, stein_solve
 from .lmi import check_membership
 from .model import DISCRETE, LssModel
-from .realization import is_minimal
+from .realization import is_minimal, subspace_closure
 from .simulate import _dt_run_batch
 
 PROJECTION_TOL = 1e-9  # residual tolerance of the block-grammian projection checks
@@ -87,34 +87,20 @@ def build_uncertain_embedding(model):
     return UncertainEmbedding(A, B, C, n, D)
 
 
-def _block_closure(M, G, n):
-    """Smallest subspaces V_i of R^n, one per n-row block i, with V_i holding
-    block row i of G and M_ij V_j inside V_i for every nonzero block M_ij of
-    M: the fixed point of V_i <- V_i + sum_j M_ij V_j.  On the embedding,
-    (A, B) gives the blockwise reachable family, (A^T, C^T) the blockwise
-    observable one; block 0 is the hub."""
-    k = M.shape[0] // n
-    blocks = [[M[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(k)] for i in range(k)]
-    edges = [[(j, Mij) for j, Mij in enumerate(row) if np.any(Mij)] for row in blocks]
-    V = [orth_columns(G[i * n:(i + 1) * n]) for i in range(k)]
-    for _ in range(2 * k * n + 2):
-        new = [orth_columns(np.hstack([V[i]] + [Mij @ V[j] for j, Mij in edges[i]]))
-               for i in range(k)]
-        settled = all(a.shape[1] == b.shape[1] for a, b in zip(V, new))
-        V = new
-        if settled:
-            break
-    return V
-
-
 def check_uncertain_minimality_equivalence(model):
     """The switched model's minimality must agree with the blockwise rank
-    conditions of its uncertain embedding; returns that agreement."""
+    conditions of its uncertain embedding; returns that agreement.  The
+    closure runs over the n-row blocks, one edge per nonzero block M_ij:
+    (A, B) gives the blockwise reachable family, (A^T, C^T) the blockwise
+    observable one; block 0 is the hub."""
     emb = build_uncertain_embedding(model)
-    n = model.n
-    emb_reachable = all(V.shape[1] == n for V in _block_closure(emb.A, emb.B, n))
-    emb_observable = all(U.shape[1] == n for U in _block_closure(emb.A.T, emb.C.T, n))
-    return is_minimal(model) == (emb_reachable and emb_observable)
+    rows = [slice(i * emb.n, (i + 1) * emb.n) for i in range(emb.D + 1)]
+    emb_minimal = True
+    for M, G in ((emb.A, emb.B), (emb.A.T, emb.C.T)):
+        edges = [[(j, M[ri, rj]) for j, rj in enumerate(rows) if np.any(M[ri, rj])] for ri in rows]
+        V, _ = subspace_closure([G[ri] for ri in rows], edges)
+        emb_minimal &= all(Vi.shape[1] == emb.n for Vi in V)
+    return is_minimal(model) == emb_minimal
 
 
 def _block_diag(blocks):
@@ -188,8 +174,7 @@ def feasible_block_pair(model):
     P1 = stein_solve(As, GB)
     blockP = [P1] + [D * P1 + c2 * np.eye(n) for _ in range(D)]
 
-    c3 = c
-    GC = D * sum(C.T @ C for C in model.C) + (D * c2 + c3) * np.eye(n)
+    GC = D * sum(C.T @ C for C in model.C) + (D * c2 + c) * np.eye(n)
     Q1raw = stein_solve([A.T for A in As], GC)
     # Q1 solves Q1 = D sum A^T Q1 A + GC, satellites dominate the Gram grid.
     blockQ = [Q1raw] + [

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import chol_pd, min_eig, require_symmetric, stein_solve, symmetrize
 from .errors import InfeasibleError
 from .lmi import check_membership, family_system, solve_feasibility, tighten_trace
-from .stability import check_strong_stability
+from .stability import require_strong_stability
 
 CONTROLLABILITY = "controllability"
 OBSERVABILITY = "observability"
@@ -78,11 +78,7 @@ def _summed_pair(model, GB, GC, provenance, margin=0.0):
     the Stein series of the operator and of its adjoint."""
     if not model.is_discrete:
         raise ValueError(f"{provenance} grammians are defined for discrete-time models only")
-    report = check_strong_stability(model)
-    if not report.stable:
-        raise InfeasibleError(
-            f"model is not strongly stable (radius {report.kronecker_spectral_radius:.6g})"
-        )
+    require_strong_stability(model)
     P = stein_solve(model.A, GB)
     return GrammianPair(P, stein_solve([A.T for A in model.A], GC), provenance, margin)
 
@@ -114,7 +110,7 @@ def averaged_grammians(model, margin=None):
     The pair solves the Stein equations of :func:`nice_grammians` with
     c I added to both right-hand sides, so both summed residuals are
     exactly -c I.  Strict feasibility of the summed family is equivalent to
-    strong stability, so a model that is not strongly stable is rejected.
+    strong stability, so any other model raises InfeasibleError.
     """
     scale = max(float(np.max(np.abs(A))) for A in model.A)
     if margin is None:
@@ -131,15 +127,22 @@ def averaged_grammians(model, margin=None):
 # ---------------------------------------------------------------------------
 
 
-def singular_values(pair):
-    """sigma_i = sqrt(lambda_i(P Q)) computed as the eigenvalues of
-    L^T Q L with P = L L^T; descending order."""
-    P = require_symmetric(pair.P_ctrl, what="controllability grammian")
+def _square_root_factors(pair):
+    """Square-root factorization of a grammian pair, shared by singular_values
+    and balred.balance: P = U U^T (Cholesky) and U^T Q U = K diag(w) K^T, w
+    ascending.  Both grammians must be symmetric positive definite."""
+    U = chol_pd(pair.P_ctrl, what="controllability grammian")
     Q = require_symmetric(pair.Q_obs, what="observability grammian")
-    L = chol_pd(P, what="controllability grammian")
     if min_eig(Q) <= 0:
         raise ValueError("observability grammian is not positive definite")
-    w = np.linalg.eigvalsh(L.T @ Q @ L)
+    w, K = np.linalg.eigh(U.T @ Q @ U)
+    return U, w, K
+
+
+def singular_values(pair):
+    """sigma_i = sqrt(lambda_i(P Q)) computed as the eigenvalues of
+    U^T Q U with P = U U^T; descending order."""
+    _, w, _ = _square_root_factors(pair)
     return SingularValues(np.sqrt(np.maximum(w, 0.0))[::-1])
 
 

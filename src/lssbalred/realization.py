@@ -44,20 +44,29 @@ def _stacked_input(model):
     return np.hstack(model.B)
 
 
+def subspace_closure(generators, edges):
+    """Smallest subspaces V_i, one per block i of size generators[i].shape[0],
+    with V_i holding the columns of generators[i] and M V_j inside V_i for
+    every (j, M) in edges[i]: the fixed point of V_i <- V_i + sum M V_j.
+    Each step that does not settle adds a dimension, so the total block size
+    caps the steps.  Returns the orthonormal bases and the number of steps."""
+    V = [orth_columns(G) for G in generators]
+    cap = sum(G.shape[0] for G in generators)
+    iterations = 0
+    while any(Vi.shape[1] < G.shape[0] for Vi, G in zip(V, generators)):
+        iterations += 1
+        W = [orth_columns(np.hstack([V[i]] + [M @ V[j] for j, M in edges[i]]))
+             for i in range(len(V))]
+        settled = all(a.shape[1] == b.shape[1] for a, b in zip(V, W))
+        V = W
+        if settled or iterations > cap:
+            break
+    return V, iterations
+
+
 def reachable_subspace(model):
     """Orthonormal basis of the span of all A_v B_q columns."""
-    n = model.n
-    V = orth_columns(_stacked_input(model))
-    iterations = 0
-    while V.shape[1] < n:
-        iterations += 1
-        W = orth_columns(np.hstack([V] + [A @ V for A in model.A]))
-        if W.shape[1] == V.shape[1]:
-            V = W
-            break
-        V = W
-        if iterations > n:
-            break
+    (V,), iterations = subspace_closure([_stacked_input(model)], [[(0, A) for A in model.A]])
     return SubspaceBasis(V, "reachable_image", iterations)
 
 
@@ -130,26 +139,16 @@ def minimize_with_pair(model, P_ctrl, Q_obs):
     and its singular values interlace those of the input pair.
     """
     # Step 1: restrict to the reachable image.
-    sub = reachable_subspace(model)
+    model_r, sub = reachability_reduction(model)
     V = sub.basis
-    T = np.hstack([V, orth_complement(V, model.n)])
-    r = V.shape[1]
-    Pt = T.T @ P_ctrl @ T
-    Qt = T.T @ Q_obs @ T
-    model_r = _restrict(model, V)
-    P_r = np.linalg.inv(np.linalg.inv(Pt)[:r, :r])
-    Q_r = Qt[:r, :r]
+    P_r = np.linalg.inv(V.T @ np.linalg.solve(P_ctrl, V))
+    Q_r = V.T @ Q_obs @ V
 
     # Step 2: quotient by the unobservable kernel; grammian roles swap.
-    sub2 = unobservable_subspace(model_r)
-    M = orth_complement(sub2.basis, model_r.n)
-    T2 = np.hstack([M, sub2.basis])
-    o = M.shape[1]
-    Pt2 = T2.T @ P_r @ T2
-    Qt2 = T2.T @ Q_r @ T2
-    model_o = _restrict(model_r, M)
-    P_o = Pt2[:o, :o]
-    Q_o = np.linalg.inv(np.linalg.inv(Qt2)[:o, :o])
+    model_o, sub = observability_reduction(model_r)
+    M = orth_complement(sub.basis, model_r.n)
+    P_o = M.T @ P_r @ M
+    Q_o = np.linalg.inv(M.T @ np.linalg.solve(Q_r, M))
     return model_o, P_o, Q_o
 
 

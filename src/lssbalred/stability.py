@@ -53,15 +53,21 @@ def check_strong_stability(model):
     return StrongStabilityReport(radius, radius < 1.0, model.n**2)
 
 
-def strong_implies_quadratic_witness(model):
-    """Exact discrete-time quadratic certificate for a strongly stable model:
-    the unique solution of P = sum_q A_q^T P A_q + I, the Stein series of
-    the adjoint operator.  The per-mode Stein residual is then <= -I."""
+def require_strong_stability(model):
+    """Raise InfeasibleError unless check_strong_stability finds radius < 1;
+    the nice and averaged grammians and the witness below need it."""
     report = check_strong_stability(model)
     if not report.stable:
         raise InfeasibleError(
             f"model is not strongly stable (radius {report.kronecker_spectral_radius:.6g})"
         )
+
+
+def strong_implies_quadratic_witness(model):
+    """Exact discrete-time quadratic certificate for a strongly stable model:
+    the unique solution of P = sum_q A_q^T P A_q + I, the Stein series of
+    the adjoint operator.  The per-mode Stein residual is then <= -I."""
+    require_strong_stability(model)
     P = stein_solve([A.T for A in model.A], np.eye(model.n))
     if min_eig(P) <= 0:
         raise InfeasibleError("witness solve produced a non-PD matrix")

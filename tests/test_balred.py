@@ -8,6 +8,7 @@ from lssbalred import (
     check_quadratic_stability,
     random_stable_model,
     reduce_model,
+    singular_values,
     truncate,
 )
 from lssbalred.balred import admissible_orders, compute_pair
@@ -58,6 +59,14 @@ class TestBalance:
         pair = GrammianPair(P, np.eye(3), "manual")
         with pytest.raises(ValueError, match="ill-conditioned"):
             balance(example1, pair)
+
+    def test_asymmetric_grammian_rejected_like_singular_values(self, example1):
+        Q = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+        pair = GrammianPair(np.diag([2.0, 1.0, 0.5]), Q, "manual")
+        for run in (singular_values, lambda p: balance(example1, p),
+                    lambda p: reduce_model(example1, order=2, pair=p)):
+            with pytest.raises(ValueError, match="observability grammian is not symmetric"):
+                run(pair)
 
 
 class TestTruncate:
@@ -142,6 +151,13 @@ class TestReduce:
         assert res.retained == 2
         assert res.apriori_bound == pytest.approx(1.0)
 
+    def test_bound_budget_skips_tied_orders(self, example1):
+        lam = np.diag([1.0, 1.0, 0.1])
+        res = reduce_model(example1, bound_budget=2.5, pair=GrammianPair(lam, lam, "manual"))
+        # r = 1 would meet the budget (bound 2.2) but splits the tied sigma_1 = sigma_2
+        assert res.retained == 2
+        assert res.apriori_bound == pytest.approx(0.2)
+
     def test_bound_budget_too_small_keeps_everything(self, example1, example1_lambda):
         pair = GrammianPair(example1_lambda, example1_lambda, "manual")
         res = reduce_model(example1, bound_budget=0.1, pair=pair)
@@ -158,8 +174,8 @@ class TestReduce:
         padded = pad_with_dead_states(example1, 1, seed=4)
         res_padded = reduce_model(padded, order=2, minimize_first=True,
                                   source="lmi")
-        assert res_padded.extras["minimized_first"]
-        assert res_padded.extras["original_order"] == 4
+        assert res_padded.minimized_first
+        assert res_padded.original_order == 4
         res_minimal = reduce_model(minimize(padded), order=2, source="lmi")
         assert res_padded.reduced_model.n == res_minimal.reduced_model.n == 2
         # both reduced models realize the same input-output map

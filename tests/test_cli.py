@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lssbalred import save_model
-from lssbalred.cli import main
+from lssbalred.cli import COMMANDS, FLAGS, main
 
 try:
     import jsonschema
@@ -34,6 +34,13 @@ def dt_unstable_path(tmp_path):
         "time_domain": "discrete",
         "modes": [{"A": [[1.5]], "B": [[1.0]], "C": [[1.0]]}],
     }))
+    return str(path)
+
+
+@pytest.fixture
+def dt_two_mode_path(tmp_path, dt_two_mode):
+    path = tmp_path / "dt_two_mode.json"
+    save_model(dt_two_mode, path)
     return str(path)
 
 
@@ -213,8 +220,99 @@ def test_reports_validate_against_shipped_schema(example1_path, dt_unstable_path
         (["reduce", "--model", example1_path, "--order", "2"], 0),
         (["gain", "--model", example1_path], 0),
         (["check", "--model", dt_unstable_path], 2),
+        (["gain", "--model", dt_unstable_path], 2),
     ]
     for i, (argv, want) in enumerate(cases):
         out = tmp_path / f"schema{i}.json"
         assert main(argv + ["--out", str(out)]) == want
         jsonschema.validate(read_report(out), schema)
+
+
+# A value each flag accepts, so that a rejection can only come from the flag.
+FLAG_VALUES = {"order": "1", "bound": "1.0", "grammians": "nice", "margin": "1e-6",
+               "tol": "1e-3", "trials": "2", "horizon": "10", "step": "0.01", "seed": "1",
+               "csv": "traj.csv", "pair_file": "pair.json"}
+
+
+def _flag_argv(flag):
+    argv = ["--" + flag.replace("_", "-")]
+    return argv if FLAGS[flag].get("action") == "store_true" else argv + [FLAG_VALUES[flag]]
+
+
+def test_commands_reject_flags_they_do_not_read(example1_path, capsys):
+    assert main(["gain", "--model", example1_path, "--grammians", "nice"]) == 1
+    for name, (_, flags) in COMMANDS.items():
+        for flag in set(FLAGS) - set(flags):
+            assert main([name, "--model", example1_path] + _flag_argv(flag)) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_report_config_records_exactly_the_declared_flags(dt_two_mode_path, tmp_path):
+    extra = {"reduce": ["--order", "1", "--grammians", "nice"],
+             "grammians": ["--grammians", "nice"],
+             "simulate": ["--horizon", "10"],
+             "verify-bound": ["--order", "1", "--grammians", "nice", "--trials", "2",
+                              "--horizon", "10"]}
+    for name, (_, flags) in COMMANDS.items():
+        out = tmp_path / f"{name}.json"
+        assert main([name, "--model", dt_two_mode_path, "--out", str(out)]
+                    + extra.get(name, [])) == 0
+        assert sorted(read_report(out)["config"]) == sorted(flags)
+
+
+def test_infeasible_gain_reports_the_error(dt_unstable_path, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["gain", "--model", dt_unstable_path, "--out", str(out)]) == 2
+    rep = read_report(out)
+    assert rep["status"] == "infeasible"
+    assert rep["result"]["error"]
+
+
+def test_embed_with_trials_reports_an_empirical_lower_bound(dt_two_mode_path, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["embed", "--model", dt_two_mode_path, "--trials", "20",
+                 "--out", str(out)]) == 0
+    lower = read_report(out)["result"]["empirical_gain_lower_bound"]
+    # the l2 gain of the scalar modes 0.3, 0.4 (B = C = 1) is at most 1 / (1 - 0.4)
+    assert 0 < lower <= 1 / 0.6
+
+
+def test_verify_bound_default_horizon(example1_path, lambda_pair_path, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["verify-bound", "--model", example1_path, "--order", "2",
+                 "--pair-file", lambda_pair_path, "--trials", "5", "--step", "0.02",
+                 "--out", str(out)])
+    assert code == 0
+    rep = read_report(out)
+    assert rep["config"]["horizon"] is None
+    assert rep["result"]["passed"] is True
+
+
+def test_simulate_discrete_model(dt_two_mode_path, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--model", dt_two_mode_path, "--horizon", "30", "--seed", "2",
+                 "--out", str(out)]) == 0
+    result = read_report(out)["result"]
+    assert result["steps"] == 30
+    assert len(result["switching"]["modes"]) == 30
+    assert set(result["switching"]["modes"]) <= {1, 2}
+    assert result["switching"]["dwells"] is None
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps({"P": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]}),
+    json.dumps([[1.0]]),
+], ids=["missing-key", "not-an-object"])
+def test_malformed_pair_file_exits_one(example1_path, tmp_path, capsys, content):
+    pair = tmp_path / "pair.json"
+    pair.write_text(content)
+    code = main(["reduce", "--model", example1_path, "--order", "2", "--pair-file", str(pair)])
+    assert code == 1
+    assert "pair file" in capsys.readouterr().err
+
+
+def test_missing_pair_file_exits_one(example1_path, tmp_path, capsys):
+    code = main(["reduce", "--model", example1_path, "--order", "2",
+                 "--pair-file", str(tmp_path / "nope.json")])
+    assert code == 1
+    assert "nope.json" in capsys.readouterr().err
