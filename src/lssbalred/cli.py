@@ -318,6 +318,7 @@ def build_parser():
         p.add_argument("--out", default=None, help="write the JSON report here")
         for flag in flags:
             p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
+    sub.choices["verify-bound"].set_defaults(trials=50)
     return parser
 
 
@@ -329,7 +330,8 @@ def main(argv=None):
         # --help and --version exit 0.
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     if args.command == "verify-bound" and args.trials <= 0:
-        args.trials = 50
+        print(f"error: --trials must be positive, got {args.trials}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         model = load_model(args.model)
     except OSError as exc:

@@ -170,11 +170,12 @@ def feasible_block_pair(model):
     gram_norm = max_eig(sum(A @ A.T for A in model.A))
     c2 = c / (2.0 * max(1.0, gram_norm))
 
-    GB = sum(B @ B.T for B in model.B) + (c2 * gram_norm + c) * np.eye(n)
+    GB, GC = model.gram_sums()
+    GB = GB + (c2 * gram_norm + c) * np.eye(n)
     P1 = stein_solve(As, GB)
     blockP = [P1] + [D * P1 + c2 * np.eye(n) for _ in range(D)]
 
-    GC = D * sum(C.T @ C for C in model.C) + (D * c2 + c) * np.eye(n)
+    GC = D * GC + (D * c2 + c) * np.eye(n)
     Q1raw = stein_solve([A.T for A in As], GC)
     # Q1 solves Q1 = D sum A^T Q1 A + GC, satellites dominate the Gram grid.
     blockQ = [Q1raw] + [

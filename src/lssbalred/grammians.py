@@ -92,9 +92,7 @@ def nice_grammians(model):
     Requires a strongly stable discrete-time model.  P is positive definite
     iff the model is span-reachable; Q iff it is observable.
     """
-    GB = sum(B @ B.T for B in model.B)
-    GC = sum(C.T @ C for C in model.C)
-    return _summed_pair(model, GB, GC, "nice")
+    return _summed_pair(model, *model.gram_sums(), "nice")
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +115,8 @@ def averaged_grammians(model, margin=None):
         margin = 1e-7 * max(1.0, scale) ** 2
     c = max(margin * 2.0, 1e-9)
     cI = c * np.eye(model.n)
-    GB = sum(B @ B.T for B in model.B) + cI
-    GC = sum(C.T @ C for C in model.C) + cI
-    return _summed_pair(model, GB, GC, "averaged", margin=c)
+    GB, GC = model.gram_sums()
+    return _summed_pair(model, GB + cI, GC + cI, "averaged", margin=c)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ grammian, gain and mode-summed sets) is written once, by
 those blocks.  The solver runs Douglas-Rachford splitting between the
 affine graph {(P, F_1(P), ..., F_m(P))} and the product of shifted
 semidefinite cones.  Compiling a system evaluates every block once on the
-stacked symmetric basis and precomputes the graph projector, so a sweep
-costs two matrix-vector products in the symmetric vectorization plus the
-small eigen-decompositions that clip onto the cones.  A linear objective
+stacked symmetric basis, precomputes the graph projector and groups the
+cones by size, so a sweep costs two matrix-vector products in the symmetric
+vectorization plus one eigvalsh (the feasibility test) and one eigh (the
+clip onto the cones) on each stack of equal-size cones.  A linear objective
 <W, P> only shifts the graph projection's target, so the certified gain
 (min gamma^2) and trace-tightened grammians (min tr P) take one solve each.
 "Infeasible" means no certificate was found within the iteration budget.
@@ -27,11 +28,10 @@ import numpy as np
 
 from ._linalg import (
     max_eig,
-    min_eig,
     require_symmetric,
-    smat,
     svec,
     svec_dim,
+    svec_index,
     sym_basis,
     symmetrize,
 )
@@ -123,12 +123,11 @@ def family_system(model, family, gamma=None):
         if not model.is_discrete:
             raise ValueError("mode-summed families are defined for discrete-time models only")
         I = np.eye(n)
+        GB, GC = model.gram_sums()
         if family == "Csum":
-            terms = [LmiTerm(A, A.T) for A in model.A]
-            const = sum(B @ B.T for B in model.B)
+            terms, const = [LmiTerm(A, A.T) for A in model.A], GB
         else:
-            terms = [LmiTerm(A.T, A) for A in model.A]
-            const = sum(C.T @ C for C in model.C)
+            terms, const = [LmiTerm(A.T, A) for A in model.A], GC
         terms.append(LmiTerm(-I, I))
         return AffineLmiSystem(n, (LmiBlock(np.asarray(const, dtype=float), tuple(terms)),))
     if family == "G" and gamma is None:
@@ -221,7 +220,8 @@ class FeasibilityResult:
 
 
 class _CompiledSystem:
-    """A system in the symmetric vectorization, with its graph projector.
+    """A system in the symmetric vectorization, with its graph projector and
+    its cone tables.
 
     Each block's linear part is evaluated once on the stacked symmetric
     basis, one batched product per term, and gathered into svec columns;
@@ -230,39 +230,59 @@ class _CompiledSystem:
     constant c, so all block images of x are M x + c.  The projection of
     (x, z) onto the graph {(a, M a + c)} is a = G^-1 (x + M^T (z - c)) with
     Gram matrix G = I + M^T M >= I; G^-1 comes from one Cholesky factor per
-    compile, so projecting is one matvec on the stacked target [x; z] minus
-    a fixed offset.
+    compile, so projecting is one matvec on the stacked point [x; z] minus
+    a fixed offset, and a second gives the block images M a + c.
+
+    The cones of a stacked point are P (cone 0, a floor) and the blocks
+    (cones 1..m, ceilings).  Cones of equal size k share one table: a
+    (count, k, k) gather index and divisor that unpack them from the
+    stacked vector exactly as smat does, and their svec positions for the
+    way back.  So a sweep is two matvecs plus one eigvalsh and one eigh per
+    cone size.
     """
 
     def __init__(self, sys):
         n = sys.n
-        d = svec_dim(n)
+        self.d = d = svec_dim(n)
         basis = sym_basis(n)
-        self.blocks = []  # (slice of the stacked images, block size)
         maps, consts = [], []
-        start = 0
         for i, b in enumerate(sys.blocks):
             images = sum(t.apply(basis) for t in b.terms)
             if _asymmetric(images) or _asymmetric(b.constant[None]):
                 raise ValueError(f"constraint block {i} violates symmetry")
             maps.append(svec(0.5 * (images + images.swapaxes(1, 2))).T)
             consts.append(svec(symmetrize(b.constant)))
-            self.blocks.append((slice(start, start + svec_dim(b.size)), b.size))
-            start += svec_dim(b.size)
         self.maps = np.vstack(maps)
         self.consts = np.concatenate(consts)
         chol_inv = np.linalg.inv(np.linalg.cholesky(np.eye(d) + self.maps.T @ self.maps))
         gram_inv = chol_inv.T @ chol_inv
         self.projector = np.hstack([gram_inv, gram_inv @ self.maps.T])
         self.offset = self.projector[:, d:] @ self.consts
+        sizes = [n] + [b.size for b in sys.blocks]
+        starts = np.cumsum([0] + [svec_dim(k) for k in sizes])
+        self.cones = []  # per size, cone 0's first: (gather, divisor, svec positions, floor)
+        for k in dict.fromkeys(sizes):
+            ids = np.array([i for i, s in enumerate(sizes) if s == k])
+            rows, cols, scale = svec_index(k)
+            positions = starts[ids, None] + np.arange(rows.size)
+            gather = np.empty((ids.size, k, k), dtype=np.intp)
+            gather[:, rows, cols] = gather[:, cols, rows] = positions
+            divisor = np.empty((k, k))
+            divisor[rows, cols] = divisor[cols, rows] = scale
+            self.cones.append((gather, divisor, positions, (ids == 0)[:, None]))
 
     def images(self, x):
         """Stacked svec images of all blocks at svec point x."""
         return self.maps @ x + self.consts
 
-    def graph_project(self, x, z):
-        """Nearest graph point to (x, z), z the stacked block targets."""
-        return self.projector @ np.concatenate((x, z)) - self.offset
+    def graph_project(self, xi):
+        """Nearest graph point [a; M a + c] to the stacked point xi = [x; z]."""
+        ax = self.projector @ xi - self.offset
+        return np.concatenate((ax, self.images(ax)))
+
+    def unpack(self, v):
+        """The cone matrices of a stacked vector, one (count, k, k) stack per size."""
+        return [v[gather] / divisor for gather, divisor, _, _ in self.cones]
 
 
 def _asymmetric(stack, tol=1e-12):
@@ -270,15 +290,6 @@ def _asymmetric(stack, tol=1e-12):
     times its own scale max(1, max |entry|)."""
     defect = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2))
     return bool(np.any(defect > tol * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))))
-
-
-def _clip_spectrum(M, floor=None, ceiling=None):
-    w, V = np.linalg.eigh(symmetrize(M))
-    if floor is not None:
-        w = np.maximum(w, floor)
-    if ceiling is not None:
-        w = np.minimum(w, ceiling)
-    return (V * w) @ V.T
 
 
 def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
@@ -289,11 +300,12 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
     Douglas-Rachford splitting between the affine graph
     {(P, F_1(P), ..., F_m(P))} and the product of shifted semidefinite cones;
     the graph projection is one matvec with the projector precomputed when
-    the system is compiled, the cone projections clip eigenvalues.  An
-    objective W shifts the projection's target by -OBJECTIVE_STEP *
-    data_scale * W.  Feasibility is tested on the graph point each sweep, so
-    `status="feasible"` guarantees that re-evaluating the blocks at the
-    returned P gives max eigenvalue <= -margin and min eig(P) >= margin.
+    the system is compiled, the cone projections clip eigenvalues, one
+    stacked eigh per cone size.  An objective W shifts the projection's
+    target by -OBJECTIVE_STEP * data_scale * W.  Feasibility is tested on
+    the graph point each sweep, so `status="feasible"` guarantees that
+    re-evaluating the blocks at the returned P gives max eigenvalue
+    <= -margin and min eig(P) >= margin.
 
     Without an objective the first feasible point is returned, else the
     budget (DEFAULT_BUDGET if None) ran out or the violation stopped
@@ -315,15 +327,18 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
     deep = margin + gap
 
     compiled = _CompiledSystem(sys)
+    d = compiled.d
+    # Clip bounds per cone: P >= deep I, every block <= -deep I.
+    bounds = [(np.where(floor, deep, -np.inf), np.where(floor, np.inf, -deep))
+              for _, _, _, floor in compiled.cones]
     if start is not None:
         P0 = require_symmetric(np.asarray(start, dtype=float), what="start")
     else:
         P0 = np.eye(n)
-    xi_x = svec(P0)
-    xi_z = compiled.images(xi_x)
+    xi = np.concatenate((svec(P0), compiled.images(svec(P0))))
     if objective is not None:
         weight = svec(require_symmetric(np.asarray(objective, dtype=float), what="objective"))
-        shift = OBJECTIVE_STEP * scale * weight
+        shift = np.concatenate((OBJECTIVE_STEP * scale * weight, np.zeros(xi.size - d)))
 
     best_violation = np.inf
     best_P = None
@@ -333,12 +348,13 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
     stall_at = 0
     for it in range(1, budget + 1):
         iterations = it
-        # Projection onto the affine graph.
-        ax = compiled.graph_project(xi_x if objective is None else xi_x - shift, xi_z)
-        az = compiled.images(ax)
-        P = smat(ax, n)
-        res = max(max_eig(smat(az[s], k)) for s, k in compiled.blocks)
-        pmin = min_eig(P)
+        # Projection onto the affine graph, then the eigenvalues of every cone.
+        a = compiled.graph_project(xi if objective is None else xi - shift)
+        stacks = compiled.unpack(a)
+        eigs = [np.linalg.eigvalsh(S) for S in stacks]
+        P = stacks[0][0]
+        res = float(np.max(np.concatenate([w[:, -1] for w in eigs])[1:]))
+        pmin = float(eigs[0][0, 0])
         violation = max(res + margin, margin - pmin)
         if violation < best_violation:
             best_violation = violation
@@ -354,19 +370,18 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
                 stall_at = it
             elif it - stall_at >= STALL_WINDOW:
                 break
-        elif feasible and (found is None or weight @ ax < found[0]):
-            found = (weight @ ax, P, res)
+        elif feasible and (found is None or weight @ a[:d] < found[0]):
+            found = (weight @ a[:d], P, res)
         # Reflect, project onto the cones, average.
-        bx = svec(_clip_spectrum(smat(2.0 * ax - xi_x, n), floor=deep))
-        xi_x = xi_x + bx - ax
-        rz = 2.0 * az - xi_z
-        bz = np.empty_like(az)
-        for s, k in compiled.blocks:
-            bz[s] = svec(_clip_spectrum(smat(rz[s], k), ceiling=-deep))
-        xi_z = xi_z + bz - az
+        b = np.empty_like(a)
+        for (_, _, positions, _), (lo, hi), S in zip(compiled.cones, bounds,
+                                                      compiled.unpack(2.0 * a - xi)):
+            w, V = np.linalg.eigh(S)
+            b[positions] = svec((V * np.clip(w, lo, hi)[:, None, :]) @ V.swapaxes(1, 2))
+        xi = xi + b - a
         if feasible:  # with an objective: stop once the DR step settles
-            step = np.hypot(np.linalg.norm(bx - ax), np.linalg.norm(bz - az))
-            if step <= settle * (1.0 + np.hypot(np.linalg.norm(xi_x), np.linalg.norm(xi_z))):
+            step = np.hypot(np.linalg.norm(b[:d] - a[:d]), np.linalg.norm(b[d:] - a[d:]))
+            if step <= settle * (1.0 + np.hypot(np.linalg.norm(xi[:d]), np.linalg.norm(xi[d:]))):
                 break
 
     if found is not None:

@@ -70,6 +70,10 @@ class LssModel:
         """The (A_q, B_q, C_q) triple for 0-based mode index q."""
         return self.A[q], self.B[q], self.C[q]
 
+    def gram_sums(self):
+        """(sum_q B_q B_q^T, sum_q C_q^T C_q), summed in mode order."""
+        return sum(B @ B.T for B in self.B), sum(C.T @ C for C in self.C)
+
 
 @dataclass(frozen=True)
 class SwitchingSignal:

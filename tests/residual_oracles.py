@@ -1,6 +1,7 @@
 """Hand-written residual formulas of the constraint families, the dense
-Kronecker form of the mode-summed Stein operator, the gain bisection, and
-the brute-force word-enumeration oracles.
+Kronecker form of the mode-summed Stein operator, the gain bisection, the
+per-cone Douglas-Rachford loop, and the brute-force word-enumeration
+oracles.
 
 Independent oracles for :func:`lssbalred.lmi.family_system`: each formula is
 assembled directly from the model matrices, without LmiTerm/LmiBlock, so the
@@ -9,7 +10,11 @@ matrices check :func:`lssbalred._linalg.stein_radius` and
 :func:`lssbalred._linalg.stein_solve` by dense eigenvalues and a dense
 linear solve, O(n^6); keep n <= 32.  :func:`bisection_gain` checks
 :func:`lssbalred.gain.l2_gain_upper_bound` by locating the smallest
-certified gamma with feasibility probes only.  The remaining oracles
+certified gamma with feasibility probes only.
+:func:`per_cone_solve_feasibility` is the DR loop of
+:func:`lssbalred.lmi.solve_feasibility` with one smat, eigen call and svec
+per cone, which the stacked loop must reproduce bit for bit.  The remaining
+oracles
 enumerate words, series terms or Schur complements directly and are
 exponential or dense; keep their inputs small.
 """
@@ -19,8 +24,27 @@ from itertools import product
 import numpy as np
 
 from lssbalred import GrammianPair, InfeasibleError, check_strong_stability, gamma_feasible
-from lssbalred._linalg import max_eig, min_eig, mode_sum, require_symmetric, symmetrize
+from lssbalred._linalg import (
+    max_eig,
+    min_eig,
+    mode_sum,
+    require_symmetric,
+    smat,
+    svec,
+    svec_dim,
+    symmetrize,
+)
 from lssbalred.embeddings import _require_discrete
+from lssbalred.lmi import (
+    DEFAULT_BUDGET,
+    MARGIN_SCALE_FACTOR,
+    OBJECTIVE_BUDGET,
+    OBJECTIVE_STEP,
+    STALL_RTOL,
+    STALL_WINDOW,
+    FeasibilityResult,
+    _CompiledSystem,
+)
 from lssbalred.realization import markov_parameter, word_matrix
 
 
@@ -134,6 +158,91 @@ def bisection_gain(model, tol=1e-3, cap=60):
         else:
             lo = mid
     return best.gamma, best
+
+
+def _clip_spectrum(M, floor=None, ceiling=None):
+    w, V = np.linalg.eigh(symmetrize(M))
+    if floor is not None:
+        w = np.maximum(w, floor)
+    if ceiling is not None:
+        w = np.minimum(w, ceiling)
+    return (V * w) @ V.T
+
+
+def per_cone_solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
+                               objective=None, settle=1e-5):
+    """:func:`lssbalred.lmi.solve_feasibility` with each cone unpacked,
+    eigen-decomposed and packed on its own: the same projector, margins,
+    stall and settle rules, one block at a time."""
+    n = sys.n
+    scale = sys.data_scale()
+    if budget is None:
+        budget = DEFAULT_BUDGET if objective is None else OBJECTIVE_BUDGET
+    if margin is None:
+        margin = MARGIN_SCALE_FACTOR * scale
+    gap = max(10.0 * margin, 1e-6 * scale)
+    deep = margin + gap
+
+    compiled = _CompiledSystem(sys)
+    ends = np.cumsum([svec_dim(b.size) for b in sys.blocks])
+    blocks = [(slice(e - svec_dim(b.size), e), b.size) for e, b in zip(ends, sys.blocks)]
+    if start is not None:
+        P0 = require_symmetric(np.asarray(start, dtype=float), what="start")
+    else:
+        P0 = np.eye(n)
+    xi_x = svec(P0)
+    xi_z = compiled.images(xi_x)
+    if objective is not None:
+        weight = svec(require_symmetric(np.asarray(objective, dtype=float), what="objective"))
+        shift = OBJECTIVE_STEP * scale * weight
+
+    best_violation = np.inf
+    best_P = None
+    found = None
+    iterations = 0
+    stall_mark = np.inf
+    stall_at = 0
+    for it in range(1, budget + 1):
+        iterations = it
+        target = np.concatenate((xi_x if objective is None else xi_x - shift, xi_z))
+        ax = compiled.projector @ target - compiled.offset
+        az = compiled.images(ax)
+        P = smat(ax, n)
+        res = max(max_eig(smat(az[s], k)) for s, k in blocks)
+        pmin = min_eig(P)
+        violation = max(res + margin, margin - pmin)
+        if violation < best_violation:
+            best_violation = violation
+            best_P = P
+        if callback is not None:
+            callback(it, res)
+        feasible = res <= -margin and pmin >= margin
+        if objective is None:
+            if feasible:
+                return FeasibilityResult("feasible", P, res, it, margin)
+            if violation < stall_mark * (1.0 - STALL_RTOL):
+                stall_mark = violation
+                stall_at = it
+            elif it - stall_at >= STALL_WINDOW:
+                break
+        elif feasible and (found is None or weight @ ax < found[0]):
+            found = (weight @ ax, P, res)
+        bx = svec(_clip_spectrum(smat(2.0 * ax - xi_x, n), floor=deep))
+        xi_x = xi_x + bx - ax
+        rz = 2.0 * az - xi_z
+        bz = np.empty_like(az)
+        for s, k in blocks:
+            bz[s] = svec(_clip_spectrum(smat(rz[s], k), ceiling=-deep))
+        xi_z = xi_z + bz - az
+        if feasible:
+            step = np.hypot(np.linalg.norm(bx - ax), np.linalg.norm(bz - az))
+            if step <= settle * (1.0 + np.hypot(np.linalg.norm(xi_x), np.linalg.norm(xi_z))):
+                break
+
+    if found is not None:
+        return FeasibilityResult("feasible", found[1], found[2], iterations, margin)
+    res = sys.residual(best_P) if best_P is not None else np.inf
+    return FeasibilityResult("infeasible_within_budget", None, res, iterations, margin)
 
 
 def project_psd(M, floor=0.0):

@@ -316,3 +316,30 @@ def test_missing_pair_file_exits_one(example1_path, tmp_path, capsys):
                  "--pair-file", str(tmp_path / "nope.json")])
     assert code == 1
     assert "nope.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_bound_rejects_nonpositive_trials(dt_two_mode_path, tmp_path, capsys, trials):
+    out = tmp_path / "report.json"
+    assert main(["verify-bound", "--model", dt_two_mode_path, "--order", "1",
+                 "--grammians", "nice", "--horizon", "10", "--trials", trials,
+                 "--out", str(out)]) == 1
+    assert "--trials must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_bound_defaults_to_fifty_trials(dt_two_mode_path, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify-bound", "--model", dt_two_mode_path, "--order", "1",
+                 "--grammians", "nice", "--horizon", "10", "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["config"]["trials"] == rep["result"]["trials"] == 50
+
+
+def test_embed_with_zero_trials_reports_no_estimate(dt_two_mode_path, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["embed", "--model", dt_two_mode_path, "--trials", "0",
+                 "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["config"]["trials"] == 0
+    assert rep["result"]["empirical_gain_lower_bound"] is None

@@ -13,9 +13,14 @@ from lssbalred import (
     solve_feasibility,
     tighten_trace,
 )
-from lssbalred._linalg import svec, svec_dim, sym_basis, symmetrize
+from lssbalred._linalg import smat, svec, svec_dim, sym_basis, symmetrize
 from lssbalred.lmi import _CompiledSystem, lifted_gain_system
-from residual_oracles import family_residuals, project_psd, schur_equivalence_check
+from residual_oracles import (
+    family_residuals,
+    per_cone_solve_feasibility,
+    project_psd,
+    schur_equivalence_check,
+)
 
 # Every constraint family in every time domain it is defined for.
 FAMILY_CASES = [(f, td) for f in ("S", "O", "C", "G") for td in ("continuous", "discrete")]
@@ -284,9 +289,24 @@ class TestCompiledSystem:
         scale = max(1.0, np.max(np.abs(maps)), np.max(np.abs(consts)))
         np.testing.assert_allclose(compiled.maps, maps, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(compiled.consts, consts, rtol=0, atol=1e-13 * scale)
-        sizes = [b.size for b in sys.blocks]
-        assert [k for _, k in compiled.blocks] == sizes
-        assert compiled.blocks[-1][0].stop == sum(svec_dim(k) for k in sizes) == maps.shape[0]
+
+    @pytest.mark.parametrize("sys", compile_cases())
+    def test_cone_tables_unpack_like_smat(self, sys):
+        """Cone 0 is P, the one floor; every stacked position belongs to
+        exactly one cone; each cone's matrix is smat of its slice."""
+        compiled = _CompiledSystem(sys)
+        sizes = [sys.n] + [b.size for b in sys.blocks]
+        starts = list(np.cumsum([0] + [svec_dim(k) for k in sizes]))
+        v = np.random.default_rng(75).standard_normal(starts[-1])
+        seen = []
+        for (_, _, positions, floor), stack in zip(compiled.cones, compiled.unpack(v)):
+            for pos, is_floor, S in zip(positions, floor[:, 0], stack):
+                cone = starts.index(pos[0])
+                np.testing.assert_array_equal(pos, np.arange(starts[cone], starts[cone + 1]))
+                np.testing.assert_array_equal(S, smat(v[pos], sizes[cone]))
+                assert is_floor == (cone == 0)
+                seen.append(cone)
+        assert seen[0] == 0 and sorted(seen) == list(range(len(sizes)))
 
     @pytest.mark.parametrize("sys", compile_cases())
     def test_graph_projection_is_least_squares(self, sys):
@@ -299,5 +319,55 @@ class TestCompiledSystem:
             z = rng.standard_normal(maps.shape[0])
             stacked = np.vstack([np.eye(d), maps])
             expect = np.linalg.lstsq(stacked, np.concatenate([x, z - consts]), rcond=None)[0]
-            got = compiled.graph_project(x, z)
+            got = compiled.graph_project(np.concatenate([x, z]))[:d]
             assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
+def oracle_cases():
+    """compile_cases(), a gain family with a trace cap (three cone sizes:
+    n, n + m and 1), and the lifted gain family of an m=1, D=3 model."""
+    yield from compile_cases()
+    model = random_stable_model("discrete", 4, 3, m=2, p=3, seed=71)
+    sys = with_extra_block(family_system(model, "G", 1.7), _trace_cap_block(4, 3.0))
+    yield pytest.param(sys, id="G-discrete-trace-cap")
+    model = random_stable_model("continuous", 8, 3, seed=1)
+    yield pytest.param(lifted_gain_system(model), id="lifted-gain-continuous")
+
+
+class TestStackedConesMatchPerConeOracle:
+    @pytest.mark.parametrize("budget", [50, None], ids=["budget-50", "default-budget"])
+    @pytest.mark.parametrize("objective", [False, True], ids=["feasibility", "objective"])
+    @pytest.mark.parametrize("sys", oracle_cases())
+    def test_bitwise_equal_to_per_cone_loop(self, sys, objective, budget):
+        W = np.eye(sys.n) if objective else None
+        traces = ([], [])
+        got = solve_feasibility(sys, budget=budget, objective=W,
+                                callback=lambda it, res: traces[0].append((it, res)))
+        ref = per_cone_solve_feasibility(sys, budget=budget, objective=W,
+                                         callback=lambda it, res: traces[1].append((it, res)))
+        assert got.status == ref.status
+        assert got.iterations == ref.iterations
+        assert got.residual == ref.residual
+        if ref.solution is None:
+            assert got.solution is None
+        else:
+            assert np.array_equal(got.solution, ref.solution)
+        assert traces[0] == traces[1]
+
+
+def test_one_eigen_call_per_cone_size_per_sweep(monkeypatch):
+    """A min-t solve over the lifted gain family of an m=1, D=3 model has one
+    cone size, n + 1, so each sweep makes one eigvalsh and one eigh call."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    model = random_stable_model("continuous", 4, 3, seed=1)
+    sys = lifted_gain_system(model)
+    corner = np.zeros((5, 5))
+    corner[4, 4] = 1.0
+    result = solve_feasibility(sys, objective=corner)
+    assert result.feasible
+    assert calls == {"eigh": result.iterations, "eigvalsh": result.iterations}
