@@ -28,7 +28,7 @@ from .embeddings import (
     stochastic_embedding,
 )
 from .errors import InfeasibleError, LssError, ModelFormatError
-from .gain import GainCertificate, gamma_feasible, hankel_upper_bound, l2_gain_upper_bound
+from .gain import gamma_feasible, hankel_upper_bound, l2_gain_upper_bound
 from .grammians import (
     GrammianPair,
     SingularValues,
@@ -40,10 +40,10 @@ from .grammians import (
 )
 from .lmi import (
     AffineLmiSystem,
+    Certificate,
     FeasibilityResult,
     LmiBlock,
     LmiTerm,
-    MembershipReport,
     check_membership,
     family_system,
     solve_feasibility,
@@ -90,7 +90,6 @@ from .simulate import (
     zoh_input_norm,
 )
 from .stability import (
-    StabilityCertificate,
     StrongStabilityReport,
     check_quadratic_stability,
     check_strong_stability,

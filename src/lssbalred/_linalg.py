@@ -164,16 +164,6 @@ def svec(M):
     return M[..., rows, cols] * scale
 
 
-def smat(v, n):
-    """Inverse of :func:`svec`."""
-    rows, cols, scale = svec_index(n)
-    u = v / scale
-    M = np.empty((n, n))
-    M[rows, cols] = u
-    M[cols, rows] = u
-    return M
-
-
 def svec_dim(n):
     return n * (n + 1) // 2
 

@@ -20,7 +20,7 @@ from .embeddings import build_uncertain_embedding, check_uncertain_minimality_eq
 from .errors import InfeasibleError, LssError, ModelFormatError
 from .gain import l2_gain_upper_bound
 from .grammians import GrammianPair, check_membership, singular_values
-from .model import _matrix_to_lists, _parse_matrix, load_model
+from .model import _matrix_to_lists, _modes_to_lists, _parse_matrix, load_model
 from .realization import is_minimal
 from .simulate import (
     decay_horizon,
@@ -132,8 +132,8 @@ def cmd_grammians(args, model):
         "observability": _matrix_to_lists(pair.Q_obs),
         "sigmas": _vec(sig.values),
         "residuals": {
-            "controllability": _vec(check_membership(model, pair.P_ctrl, "C").mode_residuals),
-            "observability": _vec(check_membership(model, pair.Q_obs, "O").mode_residuals),
+            "controllability": _vec(check_membership(model, pair.P_ctrl, "C").residuals),
+            "observability": _vec(check_membership(model, pair.Q_obs, "O").residuals),
         },
     }
     return result, "ok"
@@ -168,20 +168,10 @@ def cmd_reduce(args, model):
         "grammian_provenance": bal.pair.provenance,
         "strict_pair": bool(res.strict_pair),
         "minimized_first": bool(res.minimized_first),
-        "reduced_model": {
-            "time_domain": reduced.time_domain,
-            "modes": [
-                {"A": _matrix_to_lists(A), "B": _matrix_to_lists(B), "C": _matrix_to_lists(C)}
-                for A, B, C in zip(reduced.A, reduced.B, reduced.C)
-            ],
-        },
+        "reduced_model": {"time_domain": reduced.time_domain, "modes": _modes_to_lists(reduced)},
         "residuals": {
-            "reduced_controllability": _vec(
-                check_membership(reduced, res.lambda1, "C").mode_residuals
-            ),
-            "reduced_observability": _vec(
-                check_membership(reduced, res.lambda1, "O").mode_residuals
-            ),
+            "reduced_controllability": _vec(check_membership(reduced, res.lambda1, "C").residuals),
+            "reduced_observability": _vec(check_membership(reduced, res.lambda1, "O").residuals),
         },
     }
     return result, "ok"

@@ -18,8 +18,6 @@ the certificate at gamma = sqrt(t), so the result is always a sound upper
 bound.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InfeasibleError
@@ -28,28 +26,15 @@ from .lmi import check_membership, family_system, lifted_gain_system, solve_feas
 from .stability import check_quadratic_stability
 
 
-@dataclass(frozen=True)
-class GainCertificate:
-    gamma: float
-    P: np.ndarray
-    residuals: tuple  # per-mode max eigenvalue of the gain block at P
-
-    @property
-    def valid(self):
-        return all(r < 0 for r in self.residuals)
-
-
 def gamma_feasible(model, gamma, budget=None, start=None):
-    """Certificate for one gamma, or None if the solver found nothing
-    within budget."""
+    """The "G" certificate at gamma, re-verified at the solver's P, or None
+    if the solver found nothing within budget."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     result = solve_feasibility(family_system(model, "G", gamma), budget=budget, start=start)
     if not result.feasible:
         return None
-    P = result.solution
-    residuals = check_membership(model, P, "G", gamma).mode_residuals
-    return GainCertificate(float(gamma), P, residuals)
+    return check_membership(model, result.solution, "G", float(gamma))
 
 
 def l2_gain_upper_bound(model, tol=1e-3):
@@ -75,9 +60,8 @@ def l2_gain_upper_bound(model, tol=1e-3):
     if not result.feasible:
         raise InfeasibleError("no gain certificate found within budget")
     gamma = float(np.sqrt(result.solution[n, n]))
-    P = result.solution[:n, :n]
-    cert = GainCertificate(gamma, P, check_membership(model, P, "G", gamma).mode_residuals)
-    if not cert.valid:
+    cert = check_membership(model, result.solution[:n, :n], "G", gamma)
+    if cert.worst >= 0:
         raise InfeasibleError(f"gain certificate fails re-verification at gamma {gamma:.6g}")
     return gamma, cert
 

@@ -183,27 +183,39 @@ def lifted_gain_system(model):
 
 
 @dataclass(frozen=True)
-class MembershipReport:
-    set_name: str
-    mode_residuals: tuple  # per-block max eigenvalue of the defining residual
+class Certificate:
+    """A matrix P with the largest eigenvalue of each block of the family
+    `family` (at `gamma` for the gain set) re-evaluated at P.  Every result
+    that certifies a set membership is one of these, built by
+    :func:`check_membership`."""
+
+    family: str
+    P: np.ndarray
+    residuals: tuple
+    gamma: float | None = None
 
     @property
     def worst(self):
-        return max(self.mode_residuals)
+        return max(self.residuals)
+
+    @property
+    def margin(self):
+        return -self.worst
 
     def member(self, margin=0.0):
         return self.worst <= -margin
 
 
-def check_membership(model, M, set_name, gamma=None):
-    """Largest eigenvalue of each block of :func:`family_system` at M.
+def check_membership(model, M, family, gamma=None):
+    """The certificate of M for `family`: the largest eigenvalue of each
+    block of :func:`family_system` at M.
 
     Membership means every residual is <= 0; the strict variant asks for
     <= -margin.
     """
     M = require_symmetric(M, what="candidate matrix")
-    blocks = family_system(model, set_name, gamma).evaluate(M)
-    return MembershipReport(set_name, tuple(max_eig(R) for R in blocks))
+    blocks = family_system(model, family, gamma).evaluate(M)
+    return Certificate(family, M, tuple(max_eig(R) for R in blocks), gamma)
 
 
 @dataclass
@@ -236,7 +248,7 @@ class _CompiledSystem:
     The cones of a stacked point are P (cone 0, a floor) and the blocks
     (cones 1..m, ceilings).  Cones of equal size k share one table: a
     (count, k, k) gather index and divisor that unpack them from the
-    stacked vector exactly as smat does, and their svec positions for the
+    stacked vector, inverting svec, and their svec positions for the
     way back.  So a sweep is two matvecs plus one eigvalsh and one eigh per
     cone size.
     """

@@ -100,10 +100,6 @@ class SwitchingSignal:
         if any(not (0 <= q < D) for q in self.modes):
             raise ValueError(f"mode index out of range for {D}-mode model")
 
-    @property
-    def total_time(self):
-        return float(sum(self.dwells)) if self.time_domain == CONTINUOUS else len(self.modes)
-
 
 @dataclass(frozen=True)
 class Isomorphism:
@@ -333,14 +329,16 @@ def _matrix_to_lists(M):
     return [[float(x) for x in row] for row in np.atleast_2d(M)]
 
 
+def _modes_to_lists(model):
+    """The model's modes as the JSON list of {"A", "B", "C"} objects."""
+    return [
+        {"A": _matrix_to_lists(A), "B": _matrix_to_lists(B), "C": _matrix_to_lists(C)}
+        for A, B, C in zip(model.A, model.B, model.C)
+    ]
+
+
 def dumps_model(model):
-    data = {
-        "time_domain": model.time_domain,
-        "modes": [
-            {"A": _matrix_to_lists(A), "B": _matrix_to_lists(B), "C": _matrix_to_lists(C)}
-            for A, B, C in zip(model.A, model.B, model.C)
-        ],
-    }
+    data = {"time_domain": model.time_domain, "modes": _modes_to_lists(model)}
     if model.name:
         data["name"] = model.name
     return json.dumps(data, indent=2, sort_keys=True)

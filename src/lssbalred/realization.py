@@ -105,11 +105,11 @@ def reachability_reduction(model):
 
 
 def observability_reduction(model):
-    """Quotient by the unobservable kernel; equivalent and observable.
-    Preserves span-reachability."""
-    sub = unobservable_subspace(model)
-    M = orth_complement(sub.basis, model.n)
-    return _restrict(model, M), sub
+    """Quotient by the unobservable kernel: restrict to its orthogonal
+    complement, the dual system's reachable image, whose basis is returned.
+    Equivalent and observable; preserves span-reachability."""
+    sub = reachable_subspace(dual_system(model))
+    return _restrict(model, sub.basis), sub
 
 
 def minimize(model):
@@ -146,7 +146,7 @@ def minimize_with_pair(model, P_ctrl, Q_obs):
 
     # Step 2: quotient by the unobservable kernel; grammian roles swap.
     model_o, sub = observability_reduction(model_r)
-    M = orth_complement(sub.basis, model_r.n)
+    M = sub.basis
     P_o = M.T @ P_r @ M
     Q_o = np.linalg.inv(M.T @ np.linalg.solve(Q_r, M))
     return model_o, P_o, Q_o

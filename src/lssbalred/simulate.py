@@ -20,7 +20,6 @@ import numpy as np
 
 from ._linalg import expm, symmetrize
 from .model import CONTINUOUS, DISCRETE, SwitchingSignal, difference_system
-from .stability import certificate_margin
 
 DWELL_ALIGN_TOL = 1e-9
 HORIZON_CAP = 10**5  # decay_horizon never exceeds this many steps
@@ -258,6 +257,11 @@ def _input_energy(model, u, h):
     return np.sum(u**2, axis=2) * (1.0 if model.is_discrete else h)
 
 
+def _ratios(model, u, h, energy):
+    """Output/input norm ratio of each trial of a batch."""
+    return _norm(energy) / np.maximum(_norm(_input_energy(model, u, h)), 1e-30)
+
+
 # ---------------------------------------------------------------------------
 # Random excitation
 # ---------------------------------------------------------------------------
@@ -343,7 +347,7 @@ def _batch_signals(model, rng, trials, horizon, h, cutoff=None):
 
 def _estimate(model, trials, horizon, h, modeseq, u, energy):
     """Largest output/input norm ratio of a batch, with its witness."""
-    ratios = _norm(energy) / np.maximum(_norm(_input_energy(model, u, h)), 1e-30)
+    ratios = _ratios(model, u, h, energy)
     best = int(np.argmax(ratios))
     return GainEstimate(
         float(ratios[best]), best, trials, horizon,
@@ -398,8 +402,7 @@ def verify_error_bound(model, result, trials, horizon, seed, h=None):
     rng = np.random.default_rng(seed)
     modeseq, u, _ = _batch_signals(model, rng, trials, horizon, h)
     _, _, energy = _run(difference_system(model, result.reduced_model), modeseq, u, h)
-    ratios = _norm(energy) / np.maximum(_norm(_input_energy(model, u, h)), 1e-30)
-    worst = float(np.max(ratios))
+    worst = float(np.max(_ratios(model, u, h, energy)))
     passed = worst <= result.apriori_bound + VERIFY_ATOL
     return BoundCheckReport(result.apriori_bound, worst, VERIFY_ATOL, trials, passed)
 
@@ -432,12 +435,12 @@ def check_energy_lemmas(model, pair, trials, seed, horizon, h=None):
 
 
 def decay_horizon(model, cert, h=None):
-    """Horizon long enough for the certificate's quadratic Lyapunov function
-    to decay by DECAY_TARGET: returns steps (discrete) or seconds
-    (continuous), capped at HORIZON_CAP steps."""
-    P = cert.P
-    m = certificate_margin(model, P)
-    lam = float(np.linalg.eigvalsh(P)[-1])
+    """Horizon long enough for the quadratic Lyapunov function of an "S"
+    certificate (see check_quadratic_stability) to decay by DECAY_TARGET:
+    returns steps (discrete) or seconds (continuous), capped at HORIZON_CAP
+    steps."""
+    m = cert.margin
+    lam = float(np.linalg.eigvalsh(cert.P)[-1])
     if m <= 0:
         raise ValueError("certificate has no positive margin")
     rate = m / lam

@@ -17,13 +17,6 @@ from .lmi import check_membership, family_system, solve_feasibility
 
 
 @dataclass(frozen=True)
-class StabilityCertificate:
-    P: np.ndarray
-    margin: float
-    kind: str  # "quadratic_ct" | "quadratic_dt"
-
-
-@dataclass(frozen=True)
 class StrongStabilityReport:
     kronecker_spectral_radius: float
     stable: bool
@@ -31,18 +24,13 @@ class StrongStabilityReport:
 
 
 def check_quadratic_stability(model, budget=None, margin=None):
-    """Search for a common quadratic Lyapunov certificate.  Returns a
-    StabilityCertificate or None (no certificate found within budget)."""
+    """Search for a common quadratic Lyapunov certificate.  Returns the
+    "S" certificate re-verified at the solver's P, or None (no certificate
+    found within budget)."""
     result = solve_feasibility(family_system(model, "S"), budget=budget, margin=margin)
     if not result.feasible:
         return None
-    kind = "quadratic_dt" if model.is_discrete else "quadratic_ct"
-    return StabilityCertificate(result.solution, -result.residual, kind)
-
-
-def certificate_margin(model, P):
-    """Negated worst-mode residual eigenvalue of a would-be certificate."""
-    return -check_membership(model, P, "S").worst
+    return check_membership(model, result.solution, "S")
 
 
 def check_strong_stability(model):
@@ -71,4 +59,4 @@ def strong_implies_quadratic_witness(model):
     P = stein_solve([A.T for A in model.A], np.eye(model.n))
     if min_eig(P) <= 0:
         raise InfeasibleError("witness solve produced a non-PD matrix")
-    return StabilityCertificate(P, certificate_margin(model, P), "quadratic_dt")
+    return check_membership(model, P, "S")

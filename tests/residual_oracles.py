@@ -29,9 +29,9 @@ from lssbalred._linalg import (
     min_eig,
     mode_sum,
     require_symmetric,
-    smat,
     svec,
     svec_dim,
+    svec_index,
     symmetrize,
 )
 from lssbalred.embeddings import _require_discrete
@@ -158,6 +158,16 @@ def bisection_gain(model, tol=1e-3, cap=60):
         else:
             lo = mid
     return best.gamma, best
+
+
+def smat(v, n):
+    """Inverse of :func:`lssbalred._linalg.svec`."""
+    rows, cols, scale = svec_index(n)
+    u = v / scale
+    M = np.empty((n, n))
+    M[rows, cols] = u
+    M[cols, rows] = u
+    return M
 
 
 def _clip_spectrum(M, floor=None, ceiling=None):

@@ -10,7 +10,6 @@ from lssbalred._linalg import (
     mode_sum,
     orth_columns,
     orth_complement,
-    smat,
     stein_radius,
     stein_solve,
     svec,
@@ -21,7 +20,7 @@ from lssbalred._linalg import (
 )
 from lssbalred.model import pad_with_dead_states, random_stable_model
 from lssbalred.realization import minimize
-from residual_oracles import dense_stein_radius, dense_stein_solve, kron_sum
+from residual_oracles import dense_stein_radius, dense_stein_solve, kron_sum, smat
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,21 +5,27 @@ from hypothesis import strategies as st
 
 from lssbalred import (
     AffineLmiSystem,
+    Certificate,
     LmiBlock,
     LmiTerm,
     check_membership,
+    check_quadratic_stability,
     family_system,
+    gamma_feasible,
+    l2_gain_upper_bound,
     random_stable_model,
     solve_feasibility,
+    strong_implies_quadratic_witness,
     tighten_trace,
 )
-from lssbalred._linalg import smat, svec, svec_dim, sym_basis, symmetrize
+from lssbalred._linalg import svec, svec_dim, sym_basis, symmetrize
 from lssbalred.lmi import _CompiledSystem, lifted_gain_system
 from residual_oracles import (
     family_residuals,
     per_cone_solve_feasibility,
     project_psd,
     schur_equivalence_check,
+    smat,
 )
 
 # Every constraint family in every time domain it is defined for.
@@ -247,8 +253,8 @@ class TestFamilySystem:
             rep = check_membership(model, M, family, gamma)
             blocks = family_system(model, family, gamma).evaluate(M)
             oracle = family_residuals(model, M, family, gamma)
-            assert len(rep.mode_residuals) == len(blocks) == len(oracle)
-            for got, block, R in zip(rep.mode_residuals, blocks, oracle):
+            assert len(rep.residuals) == len(blocks) == len(oracle)
+            for got, block, R in zip(rep.residuals, blocks, oracle):
                 tol = 1e-10 * (1.0 + np.linalg.norm(R, 2))
                 assert abs(got - np.linalg.eigvalsh(0.5 * (R + R.T))[-1]) <= tol
                 np.testing.assert_allclose(block, R, rtol=0, atol=tol)
@@ -279,6 +285,33 @@ class TestFamilySystem:
     def test_unknown_family_rejected(self, example1):
         with pytest.raises(ValueError, match="unknown set"):
             family_system(example1, "X")
+
+
+def _gain_bound(model):
+    gamma, cert = l2_gain_upper_bound(model)
+    return cert, "G", gamma
+
+
+# Every producer of a certificate, as model -> (certificate, family, gamma).
+PRODUCERS = {
+    "check_membership": lambda m: (check_membership(m, np.eye(m.n), "O"), "O", None),
+    "check_quadratic_stability": lambda m: (check_quadratic_stability(m), "S", None),
+    "strong_implies_quadratic_witness": lambda m: (strong_implies_quadratic_witness(m), "S", None),
+    "gamma_feasible": lambda m: (gamma_feasible(m, 5.0), "G", 5.0),
+    "l2_gain_upper_bound": _gain_bound,
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_every_certificate_holds_its_re_verified_residuals(producer):
+    """Each producer's residuals are exactly those check_membership finds at
+    its P, so a reported margin is never the solver's in-loop value."""
+    model = random_stable_model("discrete", 3, 2, kind="strong", seed=5)
+    cert, family, gamma = PRODUCERS[producer](model)
+    assert isinstance(cert, Certificate)
+    assert (cert.family, cert.gamma) == (family, gamma)
+    assert cert.residuals == check_membership(model, cert.P, family, gamma).residuals
+    assert cert.margin == -cert.worst
 
 
 class TestCompiledSystem:
