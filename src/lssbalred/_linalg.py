@@ -50,20 +50,10 @@ def orth_columns(M):
     return U[:, :r]
 
 
-def orth_complement(V, n):
-    """Orthonormal basis of the orthogonal complement of span(V) in R^n."""
-    r = V.shape[1]
-    if r == 0:
-        return np.eye(n)
-    if r == n:
-        return np.zeros((n, 0))
-    # Full QR of V against the identity picks up a complement.
-    Q, _ = np.linalg.qr(np.hstack([V, np.eye(n)]))
-    W = Q[:, r:n]
-    # Re-orthogonalize against V for safety.
-    W = W - V @ (V.T @ W)
-    Q2, _ = np.linalg.qr(W)
-    return Q2[:, : n - r]
+def orth_complement(V):
+    """Orthonormal basis of the orthogonal complement of the span of an
+    orthonormal n x r basis V: the trailing n - r left singular vectors of V."""
+    return np.linalg.svd(V)[0][:, V.shape[1]:]
 
 
 def max_eig(M):

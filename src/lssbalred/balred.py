@@ -133,14 +133,12 @@ def compute_pair(model, source="lmi", tighten=True, margin=None):
     if source == "lmi":
         P = lmi_grammian(model, CONTROLLABILITY, tighten=tighten, margin=margin)
         Q = lmi_grammian(model, OBSERVABILITY, tighten=tighten, margin=margin)
-        pair = GrammianPair(P, Q, "lmi")
-    elif source == "nice":
-        pair = nice_grammians(model)
-    elif source == "averaged":
-        pair = averaged_grammians(model, margin=margin)
-    else:
-        raise ValueError(f"unknown grammian source {source!r}")
-    return replace(pair, margin=pair_margin(model, pair))
+        return GrammianPair(P, Q, "lmi")
+    if source == "nice":
+        return nice_grammians(model)
+    if source == "averaged":
+        return averaged_grammians(model, margin=margin)
+    raise ValueError(f"unknown grammian source {source!r}")
 
 
 def reduce_model(model, order=None, bound_budget=None, pair=None, source="lmi",

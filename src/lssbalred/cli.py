@@ -102,7 +102,7 @@ def _load_pair(path, n):
 
 
 def cmd_check(args, model):
-    cert = check_quadratic_stability(model, margin=args.margin)
+    cert = check_quadratic_stability(model)
     result = {
         "minimal": bool(is_minimal(model)),
         "quadratically_stable": cert is not None,
@@ -115,7 +115,6 @@ def cmd_check(args, model):
         result["strong_stability"] = {
             "radius": float(rep.kronecker_spectral_radius),
             "stable": bool(rep.stable),
-            "matrix_dimension": int(rep.matrix_dimension),
         }
     status = "ok" if cert is not None else "infeasible"
     return result, status
@@ -123,18 +122,17 @@ def cmd_check(args, model):
 
 def cmd_grammians(args, model):
     pair = compute_pair(model, source=args.grammians, margin=args.margin)
-    sig = singular_values(pair)
+    ctrl = check_membership(model, pair.P_ctrl, "C")
+    obs = check_membership(model, pair.Q_obs, "O")
     result = {
         "provenance": pair.provenance,
-        "margin": float(pair.margin),
+        "margin": float(min(ctrl.margin, obs.margin)),
         "trace_tightened": args.grammians == "lmi",
         "controllability": _matrix_to_lists(pair.P_ctrl),
         "observability": _matrix_to_lists(pair.Q_obs),
-        "sigmas": _vec(sig.values),
-        "residuals": {
-            "controllability": _vec(check_membership(model, pair.P_ctrl, "C").residuals),
-            "observability": _vec(check_membership(model, pair.Q_obs, "O").residuals),
-        },
+        "sigmas": _vec(singular_values(pair).values),
+        "residuals": {"controllability": _vec(ctrl.residuals),
+                      "observability": _vec(obs.residuals)},
     }
     return result, "ok"
 
@@ -282,11 +280,11 @@ FLAGS = {
 # Each subcommand with the flags it takes besides --model and --out; the
 # report's config records exactly these.
 COMMANDS = {
-    "check": (cmd_check, ["seed", "margin"]),
-    "grammians": (cmd_grammians, ["seed", "margin", "grammians"]),
-    "reduce": (cmd_reduce, ["seed", "margin", "grammians", "order", "bound",
+    "check": (cmd_check, []),
+    "grammians": (cmd_grammians, ["margin", "grammians"]),
+    "reduce": (cmd_reduce, ["margin", "grammians", "order", "bound",
                             "minimize_first", "force_ties", "pair_file"]),
-    "gain": (cmd_gain, ["seed", "tol"]),
+    "gain": (cmd_gain, ["tol"]),
     "simulate": (cmd_simulate, ["seed", "horizon", "step", "csv"]),
     "verify-bound": (cmd_verify_bound, ["seed", "margin", "grammians", "order",
                                         "bound", "trials", "horizon", "step",

@@ -26,12 +26,12 @@ from .lmi import check_membership, family_system, lifted_gain_system, solve_feas
 from .stability import check_quadratic_stability
 
 
-def gamma_feasible(model, gamma, budget=None, start=None):
+def gamma_feasible(model, gamma, start=None):
     """The "G" certificate at gamma, re-verified at the solver's P, or None
     if the solver found nothing within budget."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    result = solve_feasibility(family_system(model, "G", gamma), budget=budget, start=start)
+    result = solve_feasibility(family_system(model, "G", gamma), start=start)
     if not result.feasible:
         return None
     return check_membership(model, result.solution, "G", float(gamma))

@@ -33,7 +33,6 @@ class GrammianPair:
     P_ctrl: np.ndarray
     Q_obs: np.ndarray
     provenance: str  # a balred.GRAMMIAN_SOURCES entry, or "manual"
-    margin: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -52,13 +51,13 @@ class SingularValues:
 _FAMILY = {CONTROLLABILITY: "C", OBSERVABILITY: "O"}
 
 
-def lmi_grammian(model, kind, tighten=True, budget=None, margin=None):
+def lmi_grammian(model, kind, tighten=True, margin=None):
     """Grammian via the LMI solver: one feasibility solve, then by default
     one min tr P solve warm-started from it."""
     if kind not in _FAMILY:
         raise ValueError(f"unknown grammian kind {kind!r}")
     sys = family_system(model, _FAMILY[kind])
-    result = solve_feasibility(sys, budget=budget, margin=margin)
+    result = solve_feasibility(sys, margin=margin)
     if not result.feasible:
         raise InfeasibleError(f"no {kind} grammian found within budget")
     G = result.solution
@@ -72,7 +71,7 @@ def lmi_grammian(model, kind, tighten=True, budget=None, margin=None):
 # ---------------------------------------------------------------------------
 
 
-def _summed_pair(model, GB, GC, provenance, margin=0.0):
+def _summed_pair(model, GB, GC, provenance):
     """The pair P = sum_q A_q P A_q^T + GB, Q = sum_q A_q^T Q A_q + GC of a
     strongly stable discrete-time model: one strong-stability check, then
     the Stein series of the operator and of its adjoint."""
@@ -80,7 +79,7 @@ def _summed_pair(model, GB, GC, provenance, margin=0.0):
         raise ValueError(f"{provenance} grammians are defined for discrete-time models only")
     require_strong_stability(model)
     P = stein_solve(model.A, GB)
-    return GrammianPair(P, stein_solve([A.T for A in model.A], GC), provenance, margin)
+    return GrammianPair(P, stein_solve([A.T for A in model.A], GC), provenance)
 
 
 def nice_grammians(model):
@@ -116,7 +115,7 @@ def averaged_grammians(model, margin=None):
     c = max(margin * 2.0, 1e-9)
     cI = c * np.eye(model.n)
     GB, GC = model.gram_sums()
-    return _summed_pair(model, GB + cI, GC + cI, "averaged", margin=c)
+    return _summed_pair(model, GB + cI, GC + cI, "averaged")
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +151,12 @@ def transport_pair(pair, iso):
         symmetrize(S @ pair.P_ctrl @ S.T),
         symmetrize(Sinv.T @ pair.Q_obs @ Sinv),
         pair.provenance,
-        pair.margin,
     )
 
 
 def pair_margin(model, pair):
-    """Worst-mode strictness of a pair: -max residual over both families."""
+    """Worst-mode strictness of a pair for `model`: -max residual over both
+    families.  A change of basis rescales it, so it is measured, not stored."""
     worst = max(
         check_membership(model, pair.P_ctrl, "C").worst,
         check_membership(model, pair.Q_obs, "O").worst,

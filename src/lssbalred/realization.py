@@ -22,7 +22,6 @@ class SubspaceBasis:
     unobservability kernel."""
 
     basis: np.ndarray
-    kind: str  # "reachable_image" | "unobservable_kernel"
     iterations: int = 0
 
     @property
@@ -67,15 +66,15 @@ def subspace_closure(generators, edges):
 def reachable_subspace(model):
     """Orthonormal basis of the span of all A_v B_q columns."""
     (V,), iterations = subspace_closure([_stacked_input(model)], [[(0, A) for A in model.A]])
-    return SubspaceBasis(V, "reachable_image", iterations)
+    return SubspaceBasis(V, iterations)
 
 
 def unobservable_subspace(model):
     """Orthonormal basis of the joint kernel of all C_q A_v rows, computed
     as the orthogonal complement of the dual system's reachable image."""
     dual = reachable_subspace(dual_system(model))
-    kernel = orth_complement(dual.basis, model.n)
-    return SubspaceBasis(kernel, "unobservable_kernel", dual.iterations)
+    kernel = orth_complement(dual.basis)
+    return SubspaceBasis(kernel, dual.iterations)
 
 
 def word_matrix(A_list, word):

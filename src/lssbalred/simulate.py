@@ -67,11 +67,24 @@ class GainEstimate:
 
 @dataclass(frozen=True)
 class BoundCheckReport:
+    """A-priori bound against the sampled gain of the error system, whose
+    witness replays the worst ratio."""
+
     bound: float
-    worst_ratio: float
     slack: float
-    trials: int
-    passed: bool
+    estimate: GainEstimate
+
+    @property
+    def worst_ratio(self):
+        return self.estimate.lower_bound
+
+    @property
+    def trials(self):
+        return self.estimate.trials
+
+    @property
+    def passed(self):
+        return self.worst_ratio <= self.bound + self.slack
 
 
 @dataclass(frozen=True)
@@ -87,21 +100,14 @@ class EnergyCheckReport:
 # ---------------------------------------------------------------------------
 
 
-def steps_from_signal(signal, h=None, horizon=None):
+def steps_from_signal(signal, h=None):
     """Per-step 0-based mode indices implied by a switching signal.
 
     Discrete signals expand to themselves.  Continuous signals require h to
-    divide every dwell within 1e-9; `horizon` (steps or seconds) optionally
-    truncates, and must not exceed the signal's span.
+    divide every dwell within 1e-9.
     """
     if signal.time_domain == DISCRETE:
-        modes = np.asarray(signal.modes, dtype=int)
-        if horizon is not None:
-            N = int(horizon)
-            if N > modes.size:
-                raise ValueError("horizon exceeds the switching signal length")
-            modes = modes[:N]
-        return modes
+        return np.asarray(signal.modes, dtype=int)
     if h is None or h <= 0:
         raise ValueError("continuous-time simulation requires a positive step h")
     counts = []
@@ -111,13 +117,7 @@ def steps_from_signal(signal, h=None, horizon=None):
         if snapped < 1 or abs(ratio - snapped) > DWELL_ALIGN_TOL * max(1.0, ratio):
             raise ValueError(f"step {h} does not divide dwell {dwell}")
         counts.append(int(snapped))
-    modes = np.repeat(np.asarray(signal.modes, dtype=int), counts)
-    if horizon is not None:
-        N = round(horizon / h)
-        if N > modes.size:
-            raise ValueError("horizon exceeds the switching signal span")
-        modes = modes[:N]
-    return modes
+    return np.repeat(np.asarray(signal.modes, dtype=int), counts)
 
 
 def _recur(A, B, C, modeseq, u):
@@ -203,7 +203,7 @@ def _run(model, modeseq, u, h):
     return states, outputs, np.sum(outputs**2, axis=2)
 
 
-def simulate(model, u, signal, horizon=None, h=None):
+def simulate(model, u, signal, h=None):
     """One trajectory of the model from x(0) = 0 under input samples u and
     switching signal `signal`.
 
@@ -218,10 +218,8 @@ def simulate(model, u, signal, horizon=None, h=None):
         raise ValueError("discrete model needs a discrete switching signal")
     if not model.is_discrete and signal.time_domain != CONTINUOUS:
         raise ValueError("continuous model needs a dwell-time switching signal")
-    modes = steps_from_signal(signal, h=h, horizon=horizon)
+    modes = steps_from_signal(signal, h=h)
     N = modes.size
-    if N < 1:
-        raise ValueError(f"horizon {horizon} is shorter than one step")
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
@@ -255,11 +253,6 @@ def zoh_input_norm(u, h=None):
 def _input_energy(model, u, h):
     """Per-step input energy (R, N) of held inputs u (R, N, m)."""
     return np.sum(u**2, axis=2) * (1.0 if model.is_discrete else h)
-
-
-def _ratios(model, u, h, energy):
-    """Output/input norm ratio of each trial of a batch."""
-    return _norm(energy) / np.maximum(_norm(_input_energy(model, u, h)), 1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +340,7 @@ def _batch_signals(model, rng, trials, horizon, h, cutoff=None):
 
 def _estimate(model, trials, horizon, h, modeseq, u, energy):
     """Largest output/input norm ratio of a batch, with its witness."""
-    ratios = _ratios(model, u, h, energy)
+    ratios = _norm(energy) / np.maximum(_norm(_input_energy(model, u, h)), 1e-30)
     best = int(np.argmax(ratios))
     return GainEstimate(
         float(ratios[best]), best, trials, horizon,
@@ -394,17 +387,13 @@ def _signal_from_steps(model, steps, h):
 
 
 def verify_error_bound(model, result, trials, horizon, seed, h=None):
-    """Simulate the error system, whose output is the difference of the
-    original and reduced outputs, on random (u, q) and check
+    """Sample the gain of the error system, whose output is the difference of
+    the original and reduced outputs, with empirical_gain, and check
     ||y - y_hat||_2 <= bound * ||u||_2 + VERIFY_ATOL.  Both norms are exact
     in either time domain, so VERIFY_ATOL (reported as `slack`) only absorbs
     rounding."""
-    rng = np.random.default_rng(seed)
-    modeseq, u, _ = _batch_signals(model, rng, trials, horizon, h)
-    _, _, energy = _run(difference_system(model, result.reduced_model), modeseq, u, h)
-    worst = float(np.max(_ratios(model, u, h, energy)))
-    passed = worst <= result.apriori_bound + VERIFY_ATOL
-    return BoundCheckReport(result.apriori_bound, worst, VERIFY_ATOL, trials, passed)
+    est = empirical_gain(difference_system(model, result.reduced_model), trials, horizon, seed, h)
+    return BoundCheckReport(result.apriori_bound, VERIFY_ATOL, est)
 
 
 def check_energy_lemmas(model, pair, trials, seed, horizon, h=None):

@@ -20,25 +20,25 @@ from .lmi import check_membership, family_system, solve_feasibility
 class StrongStabilityReport:
     kronecker_spectral_radius: float
     stable: bool
-    matrix_dimension: int
 
 
-def check_quadratic_stability(model, budget=None, margin=None):
+def check_quadratic_stability(model):
     """Search for a common quadratic Lyapunov certificate.  Returns the
     "S" certificate re-verified at the solver's P, or None (no certificate
-    found within budget)."""
-    result = solve_feasibility(family_system(model, "S"), budget=budget, margin=margin)
+    found within budget).  The family has no constant term, so a margin
+    would only rescale P and takes no part in the answer."""
+    result = solve_feasibility(family_system(model, "S"))
     if not result.feasible:
         return None
     return check_membership(model, result.solution, "S")
 
 
 def check_strong_stability(model):
-    """Spectral radius of the mode-summed Stein operator (of Kronecker size n^2)."""
+    """Spectral radius of the mode-summed Stein operator."""
     if not model.is_discrete:
         raise ValueError("strong stability is a discrete-time notion")
     radius = stein_radius(model.A)
-    return StrongStabilityReport(radius, radius < 1.0, model.n**2)
+    return StrongStabilityReport(radius, radius < 1.0)
 
 
 def require_strong_stability(model):

@@ -339,7 +339,7 @@ def nice_grammian_series_oracle(model, depth, term_budget=10**7):
             )
         P += np.einsum("wij,jk,wlk->il", words, GB, words)
         Q += np.einsum("wji,jk,wkl->il", words, GC, words)
-    return GrammianPair(symmetrize(P), symmetrize(Q), "nice", margin=0.0)
+    return GrammianPair(symmetrize(P), symmetrize(Q), "nice")
 
 
 def truncated_hankel_square_sum(model, tol=1e-9, max_depth=20000):

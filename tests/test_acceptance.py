@@ -35,6 +35,7 @@ from lssbalred import (
     verify_error_bound,
 )
 from lssbalred.balred import admissible_orders, compute_pair
+from lssbalred.grammians import pair_margin
 from lssbalred.model import LssModel, pad_with_dead_states
 from lssbalred.realization import reachable_subspace, unobservable_subspace
 from conftest import scalar_model, scalar_two_mode
@@ -325,7 +326,7 @@ def test_criterion_8_preservation():
         td = "continuous" if s % 2 == 0 else "discrete"
         model = random_stable_model(td, 4, 2, kind="quadratic", seed=1600 + s)
         pair = compute_pair(model, source="lmi", tighten=False)
-        assert pair.margin > 0  # strictly balanced input pair
+        assert pair_margin(model, pair) > 0  # strictly balanced input pair
         bal = balance(model, pair)
         for r in admissible_orders(bal.sigmas):
             res = truncate(bal, r)

@@ -12,6 +12,7 @@ from lssbalred import (
     truncate,
 )
 from lssbalred.balred import admissible_orders, compute_pair
+from lssbalred.grammians import pair_margin
 from lssbalred.model import pad_with_dead_states
 from lssbalred.realization import is_minimal, minimize
 from residual_oracles import markov_match
@@ -120,7 +121,7 @@ class TestTruncate:
     def test_strict_pair_gives_quadratically_stable_reduction(self):
         model = random_stable_model("continuous", 4, 2, kind="quadratic", seed=6)
         pair = compute_pair(model, source="lmi", tighten=False)
-        assert pair.margin > 0
+        assert pair_margin(model, pair) > 0
         bal = balance(model, pair)
         r = admissible_orders(bal.sigmas)[0]
         res = truncate(bal, r)

@@ -182,17 +182,29 @@ def test_help_exits_zero(capsys):
     assert "lssbalred" in capsys.readouterr().out
 
 
-def test_reports_are_deterministic_except_timestamp(example1_path, tmp_path):
+def test_reports_are_deterministic_except_timestamp(example1_path, lambda_pair_path, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    argv = ["reduce", "--model", example1_path, "--order", "2", "--seed", "7"]
-    assert main(argv + ["--out", str(out1)]) == 0
-    assert main(argv + ["--out", str(out2)]) == 0
-    r1 = read_report(out1)
-    r2 = read_report(out2)
-    r1.pop("timestamp")
-    r2.pop("timestamp")
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    for argv in (["reduce", "--model", example1_path, "--order", "2"],
+                 ["verify-bound", "--model", example1_path, "--order", "2", "--pair-file",
+                  lambda_pair_path, "--trials", "5", "--horizon", "10", "--step", "0.02",
+                  "--seed", "7"]):
+        assert main(argv + ["--out", str(out1)]) == 0
+        assert main(argv + ["--out", str(out2)]) == 0
+        r1 = read_report(out1)
+        r2 = read_report(out2)
+        r1.pop("timestamp")
+        r2.pop("timestamp")
+        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [["check", "--seed", "1"], ["grammians", "--seed", "1"],
+                                  ["reduce", "--order", "2", "--seed", "1"],
+                                  ["gain", "--seed", "1"], ["check", "--margin", "1e-3"]])
+def test_flags_that_change_no_answer_exit_one(example1_path, argv):
+    # these commands draw no random numbers, and a margin only rescales a
+    # stability certificate, so neither flag is accepted
+    assert main(argv + ["--model", example1_path]) == 1
 
 
 def test_reduced_model_in_report_round_trips(example1_path, lambda_pair_path, tmp_path):

@@ -29,7 +29,7 @@ class TestGammaFeasible:
         assert np.linalg.eigvalsh(R)[-1] < 0
 
     def test_scalar_ct_infeasible_below_true_gain(self, ct_scalar):
-        assert gamma_feasible(ct_scalar, 0.5, budget=600) is None
+        assert gamma_feasible(ct_scalar, 0.5) is None
 
     def test_scalar_dt_feasible_at_three(self, dt_scalar):
         cert = gamma_feasible(dt_scalar, 3.0)

@@ -74,7 +74,7 @@ class TestLmiGrammian:
     def test_expanding_scalar_has_no_grammian(self):
         model = scalar_model("discrete", 1.5)
         with pytest.raises(InfeasibleError, match="no .* grammian|grammian"):
-            lmi_grammian(model, "controllability", budget=300, tighten=False)
+            lmi_grammian(model, "controllability", tighten=False)
 
 
 class TestNiceGrammians:
@@ -149,7 +149,7 @@ class TestNiceGrammians:
         # n = 64: the Kronecker matrix of the operator would be 4096 x 4096
         model = random_stable_model("discrete", 64, 2, kind="strong", seed=1)
         report = check_strong_stability(model)
-        assert report.stable and report.matrix_dimension == 64**2
+        assert report.stable
         pair = nice_grammians(model)
         P, Q = pair.P_ctrl, pair.Q_obs
         RP = sum(A @ P @ A.T + B @ B.T for A, B in zip(model.A, model.B)) - P

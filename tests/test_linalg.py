@@ -78,7 +78,7 @@ def test_orth_columns_and_complement_partition_space(seed, n, r):
     V = orth_columns(M)
     assert V.shape[0] == n
     np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-10)
-    W = orth_complement(V, n)
+    W = orth_complement(V)
     assert V.shape[1] + W.shape[1] == n
     if V.shape[1] and W.shape[1]:
         np.testing.assert_allclose(V.T @ W, np.zeros((V.shape[1], W.shape[1])), atol=1e-10)

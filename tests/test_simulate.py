@@ -19,6 +19,7 @@ from lssbalred import (
     zoh_input_norm,
 )
 from lssbalred.balred import balance, truncate
+from lssbalred.model import difference_system
 from lssbalred.simulate import _ct_run_batch, _dt_run_batch, random_switching, steps_from_signal
 from lssbalred.stability import check_quadratic_stability
 
@@ -229,6 +230,23 @@ class TestErrorBound:
         rep = verify_error_bound(model, result, trials=20, horizon=20.0, seed=1, h=0.02)
         assert rep.worst_ratio <= 1e-10
 
+    @pytest.mark.parametrize("domain", ["discrete", "continuous"])
+    def test_witness_replays_the_worst_ratio(self, example1, example1_lambda, domain):
+        if domain == "discrete":
+            model, h, horizon = random_stable_model(domain, 4, 2, kind="strong", seed=3), None, 60
+            res = reduce_model(model, order=2, source="nice", force_ties=True)
+        else:
+            model, h, horizon = example1, 0.02, 10.0
+            pair = GrammianPair(example1_lambda, example1_lambda, "manual")
+            res = reduce_model(model, order=2, pair=pair)
+        rep = verify_error_bound(model, res, trials=20, horizon=horizon, seed=4, h=h)
+        est = rep.estimate
+        traj = simulate(difference_system(model, res.reduced_model), est.witness_input,
+                        est.witness_switching, h=h)
+        ratio = traj.output_norm / zoh_input_norm(est.witness_input, h=h)
+        assert ratio == pytest.approx(rep.worst_ratio, rel=1e-12)
+        assert rep.worst_ratio > 0
+
     def test_random_dt_models_with_nice_grammians_pass(self):
         for seed in range(20):
             model = random_stable_model("discrete", 4, 2, kind="strong", seed=seed)
@@ -300,16 +318,6 @@ class TestEmptyRuns:
         pair = GrammianPair(np.array([[4.0 / 3.0]]), np.array([[4.0 / 3.0]]), "manual")
         with pytest.raises(ValueError, match=error):
             check_energy_lemmas(dt_scalar, pair, trials=trials, seed=1, horizon=horizon)
-
-    def test_simulate_discrete(self, dt_scalar):
-        sig = SwitchingSignal("discrete", (0,))
-        with pytest.raises(ValueError, match=self.NO_STEP):
-            simulate(dt_scalar, np.zeros((0, 1)), sig, horizon=0)
-
-    def test_simulate_continuous(self, ct_scalar):
-        sig = SwitchingSignal("continuous", (0,), (1.0,))
-        with pytest.raises(ValueError, match=self.NO_STEP):
-            simulate(ct_scalar, np.zeros((0, 1)), sig, horizon=0, h=0.1)
 
 
 class TestDecayHorizon:

@@ -29,7 +29,7 @@ class TestQuadraticStability:
 
     def test_expanding_scalar_has_no_certificate(self):
         model = scalar_model("discrete", 1.5)
-        assert check_quadratic_stability(model, budget=400) is None
+        assert check_quadratic_stability(model) is None
 
     def test_generated_two_mode_certified(self):
         model = random_stable_model("continuous", 3, 2, kind="quadratic", seed=7)
@@ -60,7 +60,6 @@ class TestStrongStability:
         model = random_stable_model("discrete", 2, 2, kind="strong", seed=1)
         report = check_strong_stability(model)
         assert report.stable
-        assert report.matrix_dimension == 4
 
     @pytest.mark.parametrize("radius", [None, 1e-2, 1e-4], ids=["diag", "1e-2", "1e-4"])
     def test_small_radius_models(self, radius):

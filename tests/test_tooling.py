@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lssbalred import l2_gain_upper_bound, random_stable_model
+from lssbalred import l2_gain_upper_bound, random_stable_model, reduce_model, verify_error_bound
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,3 +32,17 @@ def test_traced_target_resolves(module, func):
 def test_gain_workload_check_accepts_the_gain_bound():
     model = random_stable_model("discrete", 3, 2, kind="quadratic", seed=3)
     assert _load("workloads")._gain_check(model)(l2_gain_upper_bound(model)) is None
+
+
+def test_cli_workload_ops_pass_their_checks(tmp_path):
+    """Runs the benchmark's exact verify-bound argv, so a deleted flag it
+    passes (--seed, --minimize-first) fails here rather than in a run."""
+    for op in _load("workloads").setup_cli(1, tmp_path):
+        assert op.check(op.run()) is None, op.name
+
+
+def test_bound_check_reads_the_verify_report():
+    model = random_stable_model("discrete", 4, 2, kind="strong", seed=2)
+    res = reduce_model(model, order=2, source="nice")
+    rep = verify_error_bound(model, res, trials=10, horizon=50, seed=1)
+    assert _load("workloads")._bound_holds(rep) is None
