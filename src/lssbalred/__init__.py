@@ -19,8 +19,6 @@ from .balred import (
     truncate,
 )
 from .embeddings import (
-    StochasticEmbedding,
-    UncertainEmbedding,
     build_uncertain_embedding,
     check_beck_grammian_projection,
     check_uncertain_minimality_equivalence,
@@ -55,7 +53,6 @@ from .model import (
     Isomorphism,
     LssModel,
     SwitchingSignal,
-    ValidationReport,
     apply_isomorphism,
     dual_system,
     load_model,
@@ -66,8 +63,6 @@ from .model import (
     validate_model,
 )
 from .realization import (
-    MarkovParameter,
-    SubspaceBasis,
     hankel_block,
     is_minimal,
     markov_parameter,
@@ -90,7 +85,6 @@ from .simulate import (
     zoh_input_norm,
 )
 from .stability import (
-    StrongStabilityReport,
     check_quadratic_stability,
     check_strong_stability,
     strong_implies_quadratic_witness,

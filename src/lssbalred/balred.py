@@ -129,12 +129,14 @@ def compute_pair(model, source="lmi", tighten=True, margin=None):
     """Grammian pair from one of GRAMMIAN_SOURCES: "lmi" (default,
     trace-tightened LMI solves), "nice" (exact mode-summed Stein solves) or
     "averaged" (nice plus a strict margin); the last two need a strongly
-    stable discrete-time model."""
+    stable discrete-time model.  "nice" reads no margin and rejects one."""
     if source == "lmi":
         P = lmi_grammian(model, CONTROLLABILITY, tighten=tighten, margin=margin)
         Q = lmi_grammian(model, OBSERVABILITY, tighten=tighten, margin=margin)
         return GrammianPair(P, Q, "lmi")
     if source == "nice":
+        if margin is not None:
+            raise ValueError("nice grammians take no margin")
         return nice_grammians(model)
     if source == "averaged":
         return averaged_grammians(model, margin=margin)
@@ -149,10 +151,13 @@ def reduce_model(model, order=None, bound_budget=None, pair=None, source="lmi",
     beta; the smallest r among admissible_orders and n with 2 * tail sum <=
     beta is chosen) must be given.
     `minimize_first` reduces the model to a minimal realization before
-    balancing, which never worsens the error bound.
+    balancing, which never worsens the error bound.  `margin` is passed to
+    compute_pair, so a supplied `pair` rejects one.
     """
     if (order is None) == (bound_budget is None):
         raise ValueError("specify exactly one of order or bound_budget")
+    if pair is not None and margin is not None:
+        raise ValueError("a supplied grammian pair takes no margin")
     work = minimize(model) if minimize_first else model
     if work.n == 0:
         raise ValueError("model minimized to order zero; nothing to reduce")

@@ -111,11 +111,8 @@ def cmd_check(args, model):
         result["certificate"] = _matrix_to_lists(cert.P)
         result["certificate_margin"] = float(cert.margin)
     if model.is_discrete:
-        rep = check_strong_stability(model)
-        result["strong_stability"] = {
-            "radius": float(rep.kronecker_spectral_radius),
-            "stable": bool(rep.stable),
-        }
+        radius = check_strong_stability(model)
+        result["strong_stability"] = {"radius": float(radius), "stable": bool(radius < 1.0)}
     status = "ok" if cert is not None else "infeasible"
     return result, status
 
@@ -244,13 +241,12 @@ def cmd_verify_bound(args, model):
 def cmd_embed(args, model):
     emb = build_uncertain_embedding(model)
     agree = check_uncertain_minimality_equivalence(model)
-    rep = check_strong_stability(model)
     result = {
-        "embedding_order": int(emb.A.shape[0]),
-        "block_dim": int(emb.n),
-        "modes": int(emb.D),
+        "embedding_order": int(emb.n),
+        "block_dim": int(model.n),
+        "modes": int(model.num_modes),
         "minimality_agreement": bool(agree),
-        "strong_stability_radius": float(rep.kronecker_spectral_radius),
+        "strong_stability_radius": float(check_strong_stability(model)),
         "empirical_gain_lower_bound": None,
     }
     if args.trials:

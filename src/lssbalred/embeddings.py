@@ -27,21 +27,6 @@ MC_CHUNK = 4096  # Monte Carlo trials per random stream
 
 
 @dataclass(frozen=True)
-class UncertainEmbedding:
-    A: np.ndarray  # (D+1)n x (D+1)n
-    B: np.ndarray  # (D+1)n x mD
-    C: np.ndarray  # p x (D+1)n
-    n: int
-    D: int
-
-
-@dataclass(frozen=True)
-class StochasticEmbedding:
-    model: LssModel  # matrices scaled by 1/sqrt(p)
-    p_mode: float
-
-
-@dataclass(frozen=True)
 class BlockGrammianReport:
     embedded_ctrl_residual: float
     embedded_obs_residual: float
@@ -61,8 +46,6 @@ class BlockGrammianReport:
 class StochasticEnergyReport:
     mc_mean: float
     mc_se: float
-    trials: int
-    horizon: int
 
 
 def _require_discrete(model):
@@ -71,8 +54,8 @@ def _require_discrete(model):
 
 
 def build_uncertain_embedding(model):
-    """Block matrices of the structured uncertain system associated with a
-    discrete-time switched model."""
+    """The structured uncertain system associated with a discrete-time
+    switched model, as a one-mode model of order (D+1)n with mD inputs."""
     _require_discrete(model)
     n, m, p, D = model.n, model.m, model.p, model.num_modes
     N = n * (D + 1)
@@ -84,7 +67,7 @@ def build_uncertain_embedding(model):
         A[(q + 1) * n:(q + 2) * n, :n] = np.eye(n)
         B[:n, q * m:(q + 1) * m] = model.B[q]
         C[:, (q + 1) * n:(q + 2) * n] = model.C[q]
-    return UncertainEmbedding(A, B, C, n, D)
+    return LssModel(DISCRETE, (A,), (B,), (C,), name=model.name)
 
 
 def check_uncertain_minimality_equivalence(model):
@@ -94,12 +77,13 @@ def check_uncertain_minimality_equivalence(model):
     (A, B) gives the blockwise reachable family, (A^T, C^T) the blockwise
     observable one; block 0 is the hub."""
     emb = build_uncertain_embedding(model)
-    rows = [slice(i * emb.n, (i + 1) * emb.n) for i in range(emb.D + 1)]
+    n = model.n
+    rows = [slice(i * n, (i + 1) * n) for i in range(model.num_modes + 1)]
     emb_minimal = True
-    for M, G in ((emb.A, emb.B), (emb.A.T, emb.C.T)):
+    for M, G in ((emb.A[0], emb.B[0]), (emb.A[0].T, emb.C[0].T)):
         edges = [[(j, M[ri, rj]) for j, rj in enumerate(rows) if np.any(M[ri, rj])] for ri in rows]
         V, _ = subspace_closure([G[ri] for ri in rows], edges)
-        emb_minimal &= all(Vi.shape[1] == emb.n for Vi in V)
+        emb_minimal &= all(Vi.shape[1] == n for Vi in V)
     return is_minimal(model) == emb_minimal
 
 
@@ -131,10 +115,9 @@ def check_beck_grammian_projection(model, blockP, blockQ):
     emb = build_uncertain_embedding(model)
     P = _block_diag(list(blockP))
     Q = _block_diag(list(blockQ))
-    scale = max(1.0, float(np.max(np.abs(emb.A))) ** 2 * float(np.max(np.abs(P))))
-    embedded = LssModel(DISCRETE, (emb.A,), (emb.B,), (emb.C,))
-    ctrl_res = check_membership(embedded, P, "C").worst
-    obs_res = check_membership(embedded, Q, "O").worst
+    scale = max(1.0, float(np.max(np.abs(emb.A[0]))) ** 2 * float(np.max(np.abs(P))))
+    ctrl_res = check_membership(emb, P, "C").worst
+    obs_res = check_membership(emb, Q, "O").worst
     if ctrl_res > PROJECTION_TOL * scale or obs_res > PROJECTION_TOL * scale:
         raise ValueError(
             "block matrices do not satisfy the embedded grammian inequalities"
@@ -193,29 +176,34 @@ def feasible_block_pair(model):
 
 
 def stochastic_embedding(model):
-    """The jump system with matrices scaled by 1/sqrt(p) and i.i.d. modes of
-    probability p = 1/D each."""
+    """The jump system with matrices scaled by 1/sqrt(p), whose modes are
+    drawn i.i.d. with probability p = 1/D each."""
     _require_discrete(model)
-    p = 1.0 / model.num_modes
-    s = 1.0 / math.sqrt(p)
-    scaled = LssModel(
+    s = 1.0 / math.sqrt(1.0 / model.num_modes)
+    return LssModel(
         DISCRETE,
         tuple(s * A for A in model.A),
         tuple(s * B for B in model.B),
         tuple(s * C for C in model.C),
         name=model.name,
     )
-    return StochasticEmbedding(scaled, p)
 
 
 def monte_carlo_stochastic_energy(model, u, trials, horizon, seed):
     """Monte Carlo estimate of the expected cumulative squared output of the
-    stochastic embedding under a deterministic input; returns the mean with
-    its standard error.  Chunk i of MC_CHUNK trials draws its modes from the
-    stream SeedSequence(entropy=seed, spawn_key=(i,)), so the result is
+    stochastic embedding under a deterministic input u (one row per step, a
+    1-D u is one column); returns the mean with its standard error.  Chunk i
+    of MC_CHUNK trials draws its modes from the stream
+    SeedSequence(entropy=seed, spawn_key=(i,)), so the result is
     deterministic given the seed."""
-    scaled = stochastic_embedding(model).model
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+    scaled = stochastic_embedding(model)
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 1:
+        u = u[:, None]
+    if u.ndim != 2 or u.shape[1] != model.m:
+        raise ValueError(f"input must have {model.m} columns, got shape {u.shape}")
     if u.shape[0] < horizon:
         raise ValueError("input must cover the horizon")
     u = u[:horizon]
@@ -231,4 +219,4 @@ def monte_carlo_stochastic_energy(model, u, trials, horizon, seed):
     mean = total / trials
     var = max(total_sq / trials - mean**2, 0.0)
     se = math.sqrt(var / trials)
-    return StochasticEnergyReport(mean, se, trials, horizon)
+    return StochasticEnergyReport(mean, se)

@@ -112,6 +112,8 @@ def averaged_grammians(model, margin=None):
     scale = max(float(np.max(np.abs(A))) for A in model.A)
     if margin is None:
         margin = 1e-7 * max(1.0, scale) ** 2
+    elif not margin >= 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     c = max(margin * 2.0, 1e-9)
     cI = c * np.eye(model.n)
     GB, GC = model.gram_sums()

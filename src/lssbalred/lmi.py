@@ -333,6 +333,8 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
         budget = DEFAULT_BUDGET if objective is None else OBJECTIVE_BUDGET
     if margin is None:
         margin = MARGIN_SCALE_FACTOR * scale
+    elif not margin >= 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     # Project onto slightly deeper cones so that acceptance at `margin`
     # triggers at a finite iterate.
     gap = max(10.0 * margin, 1e-6 * scale)

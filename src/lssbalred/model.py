@@ -121,23 +121,14 @@ class Isomorphism:
         return np.linalg.inv(self.S)
 
 
-@dataclass
-class ValidationReport:
-    violations: list
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
 def validate_model(model):
-    """Check shape consistency and finiteness; returns a ValidationReport
-    listing every violated invariant (empty list means valid)."""
+    """Check shape consistency and finiteness; returns the list of every
+    violated invariant (an empty list means valid)."""
     v = []
     D = model.num_modes
     if D < 1:
         v.append("model must have at least one mode")
-        return ValidationReport(v)
+        return v
     if model.time_domain not in (CONTINUOUS, DISCRETE):
         v.append(f"unknown time domain {model.time_domain!r}")
     n, m, p = model.n, model.m, model.p
@@ -154,7 +145,7 @@ def validate_model(model):
         for tag, M in (("A", A), ("B", B), ("C", C)):
             if not np.all(np.isfinite(M)):
                 v.append(f"non-finite entry in {tag} of mode {q + 1}")
-    return ValidationReport(v)
+    return v
 
 
 def apply_isomorphism(model, iso):
@@ -312,9 +303,9 @@ def loads_model(text):
         Bs.append(_parse_matrix(mode["B"], f"B of mode {i}"))
         Cs.append(_parse_matrix(mode["C"], f"C of mode {i}"))
     model = LssModel(td, tuple(As), tuple(Bs), tuple(Cs), name=str(data.get("name", "")))
-    report = validate_model(model)
-    if not report.ok:
-        raise ModelFormatError("; ".join(report.violations))
+    violations = validate_model(model)
+    if violations:
+        raise ModelFormatError("; ".join(violations))
     return model
 
 

@@ -8,31 +8,10 @@ iteration  V_{k+1} = V_k + sum_q A_q V_k  starting from the span of the input
 steps.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import orth_columns, orth_complement
 from .model import LssModel, difference_system, dual_system
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis (n x r) of a reachability image or an
-    unobservability kernel."""
-
-    basis: np.ndarray
-    iterations: int = 0
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
-class MarkovParameter:
-    word: tuple
-    value: np.ndarray  # (p*D) x (m*D)
 
 
 def _stacked_output(model):
@@ -64,17 +43,15 @@ def subspace_closure(generators, edges):
 
 
 def reachable_subspace(model):
-    """Orthonormal basis of the span of all A_v B_q columns."""
-    (V,), iterations = subspace_closure([_stacked_input(model)], [[(0, A) for A in model.A]])
-    return SubspaceBasis(V, iterations)
+    """Orthonormal basis (n x r) of the span of all A_v B_q columns."""
+    (V,), _ = subspace_closure([_stacked_input(model)], [[(0, A) for A in model.A]])
+    return V
 
 
 def unobservable_subspace(model):
     """Orthonormal basis of the joint kernel of all C_q A_v rows, computed
     as the orthogonal complement of the dual system's reachable image."""
-    dual = reachable_subspace(dual_system(model))
-    kernel = orth_complement(dual.basis)
-    return SubspaceBasis(kernel, dual.iterations)
+    return orth_complement(reachable_subspace(dual_system(model)))
 
 
 def word_matrix(A_list, word):
@@ -98,17 +75,18 @@ def _restrict(model, V):
 
 
 def reachability_reduction(model):
-    """Restrict to the reachable image; equivalent and span-reachable."""
-    sub = reachable_subspace(model)
-    return _restrict(model, sub.basis), sub
+    """Restrict to the reachable image, whose basis is returned along;
+    equivalent and span-reachable."""
+    V = reachable_subspace(model)
+    return _restrict(model, V), V
 
 
 def observability_reduction(model):
     """Quotient by the unobservable kernel: restrict to its orthogonal
     complement, the dual system's reachable image, whose basis is returned.
     Equivalent and observable; preserves span-reachability."""
-    sub = reachable_subspace(dual_system(model))
-    return _restrict(model, sub.basis), sub
+    V = reachable_subspace(dual_system(model))
+    return _restrict(model, V), V
 
 
 def minimize(model):
@@ -122,8 +100,8 @@ def minimize(model):
 
 def is_minimal(model):
     return (
-        reachable_subspace(model).dim == model.n
-        and unobservable_subspace(model).dim == 0
+        reachable_subspace(model).shape[1] == model.n
+        and unobservable_subspace(model).shape[1] == 0
     )
 
 
@@ -138,32 +116,29 @@ def minimize_with_pair(model, P_ctrl, Q_obs):
     and its singular values interlace those of the input pair.
     """
     # Step 1: restrict to the reachable image.
-    model_r, sub = reachability_reduction(model)
-    V = sub.basis
+    model_r, V = reachability_reduction(model)
     P_r = np.linalg.inv(V.T @ np.linalg.solve(P_ctrl, V))
     Q_r = V.T @ Q_obs @ V
 
     # Step 2: quotient by the unobservable kernel; grammian roles swap.
-    model_o, sub = observability_reduction(model_r)
-    M = sub.basis
+    model_o, M = observability_reduction(model_r)
     P_o = M.T @ P_r @ M
     Q_o = np.linalg.inv(M.T @ np.linalg.solve(Q_r, M))
     return model_o, P_o, Q_o
 
 
 def markov_parameter(model, word):
-    """M_v = C~ A_v B~ with the per-mode stacking of the reachability and
-    observability matrices; M_eps = C~ B~."""
+    """M_v = C~ A_v B~, a (p*D) x (m*D) array, with the per-mode stacking of
+    the reachability and observability matrices; M_eps = C~ B~."""
     D = model.num_modes
     if any(not (0 <= q < D) for q in word):
         raise ValueError("invalid mode index in word")
-    value = _stacked_output(model) @ word_matrix(model.A, word) @ _stacked_input(model)
-    return MarkovParameter(tuple(word), value)
+    return _stacked_output(model) @ word_matrix(model.A, word) @ _stacked_input(model)
 
 
 def hankel_block(model, s, v):
     """H_{s,v} = M_{v s}: the Markov parameter of v followed by s."""
-    return markov_parameter(model, tuple(v) + tuple(s)).value
+    return markov_parameter(model, tuple(v) + tuple(s))
 
 
 def equivalent(model1, model2):
@@ -179,12 +154,12 @@ def equivalent(model1, model2):
     ):
         return False
     diff = difference_system(model1, model2)
-    reach = reachable_subspace(diff).basis
+    reach = reachable_subspace(diff)
     if reach.shape[1] == 0:
         return True
     # Im R(diff) must be annihilated by every C_q A_v, i.e. lie inside the
     # unobservable kernel; both bases are orthonormal, so the projection
     # residual is a plain angle measure.
-    kernel = unobservable_subspace(diff).basis
+    kernel = unobservable_subspace(diff)
     resid = reach - kernel @ (kernel.T @ reach)
     return float(np.max(np.abs(resid))) <= 1e-9

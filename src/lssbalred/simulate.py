@@ -60,7 +60,6 @@ class GainEstimate:
     lower_bound: float
     best_witness: int
     trials: int
-    horizon: float
     witness_input: np.ndarray = None
     witness_switching: SwitchingSignal = None
 
@@ -338,12 +337,12 @@ def _batch_signals(model, rng, trials, horizon, h, cutoff=None):
     return modeseq, u, cut
 
 
-def _estimate(model, trials, horizon, h, modeseq, u, energy):
+def _estimate(model, trials, h, modeseq, u, energy):
     """Largest output/input norm ratio of a batch, with its witness."""
     ratios = _norm(energy) / np.maximum(_norm(_input_energy(model, u, h)), 1e-30)
     best = int(np.argmax(ratios))
     return GainEstimate(
-        float(ratios[best]), best, trials, horizon,
+        float(ratios[best]), best, trials,
         witness_input=u[best],
         witness_switching=_signal_from_steps(model, modeseq[best], h),
     )
@@ -360,7 +359,7 @@ def empirical_gain(model, trials, horizon, seed, h=None):
     rng = np.random.default_rng(seed)
     modeseq, u, _ = _batch_signals(model, rng, trials, horizon, h)
     _, _, energy = _run(model, modeseq, u, h)
-    return _estimate(model, trials, horizon, h, modeseq, u, energy)
+    return _estimate(model, trials, h, modeseq, u, energy)
 
 
 def empirical_hankel_gain(model, trials, horizon, seed, h=None):
@@ -369,7 +368,7 @@ def empirical_hankel_gain(model, trials, horizon, seed, h=None):
     rng = np.random.default_rng(seed)
     modeseq, u, cut = _batch_signals(model, rng, trials, horizon, h, cutoff=True)
     _, _, energy = _run(model, modeseq, u, h)
-    return _estimate(model, trials, horizon, h, modeseq, u, _from_cut(energy, cut))
+    return _estimate(model, trials, h, modeseq, u, _from_cut(energy, cut))
 
 
 def _signal_from_steps(model, steps, h):

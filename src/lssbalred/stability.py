@@ -7,19 +7,11 @@ is not a proof of instability.  Strong stability is a discrete-time notion:
 the mode-summed Stein operator X -> sum_q A_q X A_q^T has spectral radius < 1.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import min_eig, stein_radius, stein_solve
 from .errors import InfeasibleError
 from .lmi import check_membership, family_system, solve_feasibility
-
-
-@dataclass(frozen=True)
-class StrongStabilityReport:
-    kronecker_spectral_radius: float
-    stable: bool
 
 
 def check_quadratic_stability(model):
@@ -34,21 +26,19 @@ def check_quadratic_stability(model):
 
 
 def check_strong_stability(model):
-    """Spectral radius of the mode-summed Stein operator."""
+    """Spectral radius of the mode-summed Stein operator; the model is
+    strongly stable iff it is < 1."""
     if not model.is_discrete:
         raise ValueError("strong stability is a discrete-time notion")
-    radius = stein_radius(model.A)
-    return StrongStabilityReport(radius, radius < 1.0)
+    return stein_radius(model.A)
 
 
 def require_strong_stability(model):
     """Raise InfeasibleError unless check_strong_stability finds radius < 1;
     the nice and averaged grammians and the witness below need it."""
-    report = check_strong_stability(model)
-    if not report.stable:
-        raise InfeasibleError(
-            f"model is not strongly stable (radius {report.kronecker_spectral_radius:.6g})"
-        )
+    radius = check_strong_stability(model)
+    if not radius < 1.0:
+        raise InfeasibleError(f"model is not strongly stable (radius {radius:.6g})")
 
 
 def strong_implies_quadratic_witness(model):

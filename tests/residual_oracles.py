@@ -354,10 +354,9 @@ def truncated_hankel_square_sum(model, tol=1e-9, max_depth=20000):
     """
     if not model.is_discrete:
         raise ValueError("Hankel sums are defined for discrete-time models only")
-    report = check_strong_stability(model)
-    if not report.stable:
+    rho = check_strong_stability(model)
+    if not rho < 1.0:
         raise InfeasibleError("model is not strongly stable")
-    rho = report.kronecker_spectral_radius
     GB = sum(B @ B.T for B in model.B)
     GC = sum(C.T @ C for C in model.C)
     layerP, layerQ = GB.copy(), GC.copy()
@@ -430,8 +429,8 @@ def markov_match(model1, model2, max_len, rtol=1e-9):
     worst = 0.0
     for k in range(max_len + 1):
         for word in product(range(model1.num_modes), repeat=k):
-            M1 = markov_parameter(model1, word).value
-            M2 = markov_parameter(model2, word).value
+            M1 = markov_parameter(model1, word)
+            M2 = markov_parameter(model2, word)
             worst = max(worst, float(np.max(np.abs(M1 - M2))))
             scale = max(scale, float(np.max(np.abs(M1))))
     return worst <= rtol * max(scale, 1.0)

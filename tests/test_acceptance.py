@@ -233,8 +233,8 @@ def test_criterion_5_nice_grammians():
         base = random_stable_model("discrete", 2, 2, kind="strong", seed=1200 + s)
         defective = pad_with_dead_states(base, 1 + s % 2, seed=s)
         pair = nice_grammians(defective)
-        reach_deficient = reachable_subspace(defective).dim < defective.n
-        obs_deficient = unobservable_subspace(defective).dim > 0
+        reach_deficient = reachable_subspace(defective).shape[1] < defective.n
+        obs_deficient = unobservable_subspace(defective).shape[1] > 0
         biconditional_ok &= reach_deficient == (np.linalg.eigvalsh(pair.P_ctrl)[0] < 1e-9)
         biconditional_ok &= obs_deficient == (np.linalg.eigvalsh(pair.Q_obs)[0] < 1e-9)
 
@@ -341,9 +341,9 @@ def test_criterion_8_preservation():
         base = random_stable_model("discrete", 2 + s % 3, 1 + s % 3,
                                    kind="strong", seed=1700 + s)
         padded = pad_with_dead_states(base, 1 + s % 2, seed=s)
-        assert check_strong_stability(padded).stable
+        assert check_strong_stability(padded) < 1.0
         mini = minimize(padded)
-        lemma6_ok &= check_strong_stability(mini).kronecker_spectral_radius < 1.0
+        lemma6_ok &= check_strong_stability(mini) < 1.0
     ok = lemma3_ok and lemma6_ok
     report("criterion 8: truncation keeps Lambda_1 as a grammian pair and quadratic "
            "stability; minimization keeps strong stability", ok)

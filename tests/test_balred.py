@@ -199,6 +199,12 @@ class TestReduce:
             reduce_model(example1, order=1, pair=pair)
 
 
+    def test_supplied_pair_rejects_a_margin(self, example1, example1_lambda):
+        pair = GrammianPair(example1_lambda, example1_lambda, "manual")
+        with pytest.raises(ValueError, match="no margin"):
+            reduce_model(example1, order=2, pair=pair, margin=0.3)
+
+
 def test_balanced_fixed_point_has_identity_transform():
     model = random_stable_model("continuous", 4, 2, kind="quadratic", seed=11)
     pair = compute_pair(model, source="lmi", tighten=False)

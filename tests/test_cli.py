@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lssbalred import save_model
+from lssbalred import random_stable_model, save_model
 from lssbalred.cli import COMMANDS, FLAGS, main
 
 try:
@@ -355,3 +355,33 @@ def test_embed_with_zero_trials_reports_no_estimate(dt_two_mode_path, tmp_path):
     rep = read_report(out)
     assert rep["config"]["trials"] == 0
     assert rep["result"]["empirical_gain_lower_bound"] is None
+
+
+@pytest.fixture
+def dt4_path(tmp_path):
+    path = tmp_path / "dt4.json"
+    save_model(random_stable_model("discrete", 4, 2, seed=1), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["grammians", "--margin=-1e-3"],
+                                  ["grammians", "--margin", "nan"],
+                                  ["grammians", "--grammians", "averaged", "--margin=-1e-3"],
+                                  ["verify-bound", "--order", "2", "--margin=-1e-2"],
+                                  ["gain", "--tol", "0"], ["gain", "--tol=-1"],
+                                  ["gain", "--tol", "nan"]])
+def test_negative_or_nan_margin_and_tol_exit_one(dt4_path, argv, capsys):
+    # a negative margin accepts a pair outside the grammian set, and a
+    # nonpositive tol can never settle the gain solve
+    assert main(argv + ["--model", dt4_path]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_margin_that_no_route_reads_exits_one(dt_two_mode_path, example1_path,
+                                              lambda_pair_path, capsys):
+    assert main(["grammians", "--model", dt_two_mode_path, "--grammians", "nice",
+                 "--margin", "0.3"]) == 1
+    assert "no margin" in capsys.readouterr().err
+    assert main(["reduce", "--model", example1_path, "--order", "2",
+                 "--pair-file", lambda_pair_path, "--margin", "0.3"]) == 1
+    assert "no margin" in capsys.readouterr().err

@@ -25,25 +25,25 @@ class TestEmbeddingLayout:
     def test_scalar_two_mode_block_matrix(self, dt_two_mode):
         emb = build_uncertain_embedding(dt_two_mode)
         np.testing.assert_allclose(
-            emb.A, [[0.0, 0.3, 0.4], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+            emb.A[0], [[0.0, 0.3, 0.4], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         )
-        np.testing.assert_allclose(emb.B, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_allclose(emb.C, [[0.0, 1.0, 1.0]])
+        np.testing.assert_allclose(emb.B[0], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_allclose(emb.C[0], [[0.0, 1.0, 1.0]])
 
     def test_single_mode_layout(self, dt_scalar):
         emb = build_uncertain_embedding(dt_scalar)
-        np.testing.assert_allclose(emb.A, [[0.0, 0.5], [1.0, 0.0]])
+        np.testing.assert_allclose(emb.A[0], [[0.0, 0.5], [1.0, 0.0]])
 
     def test_example1_as_dt_zero_pattern(self, example1):
         model = LssModel("discrete", example1.A, example1.B, example1.C)
         emb = build_uncertain_embedding(model)
-        assert emb.A.shape == (6, 6)
-        np.testing.assert_array_equal(emb.A[:3, :3], np.zeros((3, 3)))
-        np.testing.assert_array_equal(emb.A[:3, 3:], model.A[0])
-        np.testing.assert_array_equal(emb.A[3:, :3], np.eye(3))
-        np.testing.assert_array_equal(emb.A[3:, 3:], np.zeros((3, 3)))
-        np.testing.assert_array_equal(emb.B[:3, :], model.B[0])
-        np.testing.assert_array_equal(emb.C[:, 3:], model.C[0])
+        assert emb.A[0].shape == (6, 6)
+        np.testing.assert_array_equal(emb.A[0][:3, :3], np.zeros((3, 3)))
+        np.testing.assert_array_equal(emb.A[0][:3, 3:], model.A[0])
+        np.testing.assert_array_equal(emb.A[0][3:, :3], np.eye(3))
+        np.testing.assert_array_equal(emb.A[0][3:, 3:], np.zeros((3, 3)))
+        np.testing.assert_array_equal(emb.B[0][:3, :], model.B[0])
+        np.testing.assert_array_equal(emb.C[0][:, 3:], model.C[0])
 
     def test_rejects_continuous(self, example1):
         with pytest.raises(ValueError, match="discrete"):
@@ -112,8 +112,7 @@ class TestBeckProjection:
 class TestStochasticEmbedding:
     def test_scaling(self, dt_two_mode):
         emb = stochastic_embedding(dt_two_mode)
-        assert emb.p_mode == pytest.approx(0.5)
-        np.testing.assert_allclose(emb.model.A[0], [[0.3 * np.sqrt(2.0)]])
+        np.testing.assert_allclose(emb.A[0], [[0.3 * np.sqrt(2.0)]])
 
     def test_single_mode_is_deterministic(self, dt_scalar):
         u = np.zeros((10, 1))
@@ -141,6 +140,20 @@ class TestStochasticEmbedding:
             worst = max(worst, float(np.sum(y**2)))
         assert worst <= rep.mc_mean + 3.0 * rep.mc_se
 
+    def test_rejects_zero_trials(self, dt_two_mode):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_stochastic_energy(dt_two_mode, np.ones((5, 1)), 0, 5, seed=0)
+
+    def test_one_dimensional_input_is_one_column(self, dt_two_mode):
+        u = np.linspace(1.0, 0.0, 6)
+        flat = monte_carlo_stochastic_energy(dt_two_mode, u, 100, 6, seed=5)
+        column = monte_carlo_stochastic_energy(dt_two_mode, u[:, None], 100, 6, seed=5)
+        assert flat == column
+
+    def test_rejects_input_with_wrong_column_count(self, dt_two_mode):
+        with pytest.raises(ValueError, match="columns"):
+            monte_carlo_stochastic_energy(dt_two_mode, np.ones((6, 2)), 100, 6, seed=5)
+
     def test_deterministic_given_seed(self, dt_two_mode):
         u = np.zeros((8, 1))
         u[0, 0] = 1.0
@@ -152,7 +165,7 @@ class TestStochasticEmbedding:
         u = np.zeros((8, 1))
         u[0, 0] = 1.0
         rep = monte_carlo_stochastic_energy(dt_two_mode, u, 9000, 8, seed=4)
-        scaled = stochastic_embedding(dt_two_mode).model
+        scaled = stochastic_embedding(dt_two_mode)
         sizes = [MC_CHUNK, MC_CHUNK, 9000 - 2 * MC_CHUNK]
         assert sizes[-1] > 0
         total = total_sq = 0
@@ -174,7 +187,7 @@ class TestAveragedAndScaling:
         # per-realization grammian inequalities of the 1/sqrt(p)-scaled model
         model = random_stable_model("discrete", 3, 2, kind="strong", seed=11)
         pair = averaged_grammians(model)
-        scaled = stochastic_embedding(model).model
+        scaled = stochastic_embedding(model)
         RP_avg, RQ_avg = averaged_residuals(model, pair.P_ctrl, pair.Q_obs)
         D = model.num_modes
         RP_scaled = sum(
@@ -203,8 +216,8 @@ class TestAveragedAndScaling:
         bal = balance(model, pair)
         from lssbalred.balred import admissible_orders
         r = admissible_orders(bal.sigmas)[0]
-        red_then_scale = stochastic_embedding(truncate(bal, r).reduced_model).model
-        scaled = stochastic_embedding(model).model
+        red_then_scale = stochastic_embedding(truncate(bal, r).reduced_model)
+        scaled = stochastic_embedding(model)
         # the pair is a grammian pair of the scaled model as well
         bal2 = balance(scaled, pair)
         scale_then_red = truncate(bal2, r, force_ties=True).reduced_model

@@ -51,6 +51,11 @@ class TestBisection:
         gamma, cert = l2_gain_upper_bound(dt_scalar, tol=1e-3)
         assert 2.0 <= gamma <= 2.004
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_or_nan_tol(self, ct_scalar, tol):
+        with pytest.raises(ValueError, match="tol"):
+            l2_gain_upper_bound(ct_scalar, tol=tol)
+
     def test_unstable_model_rejected(self):
         with pytest.raises(InfeasibleError):
             l2_gain_upper_bound(scalar_model("discrete", 1.5))

@@ -134,6 +134,12 @@ class TestSolveFeasibility:
         assert result.status == "infeasible_within_budget"
         assert result.solution is None
 
+    @pytest.mark.parametrize("margin", [-1e-3, float("nan")])
+    def test_rejects_negative_or_nan_margin(self, margin):
+        sys = AffineLmiSystem(1, (stein_block(np.array([[0.5]])),))
+        with pytest.raises(ValueError, match="margin"):
+            solve_feasibility(sys, margin=margin)
+
     def test_scalar_lyapunov_with_output(self):
         # -2P + 1 <= -margin  <=>  P >= (1 + margin) / 2
         sys = AffineLmiSystem(1, (lyapunov_obs_block(np.array([[-1.0]]), np.array([[1.0]])),))

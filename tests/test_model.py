@@ -22,7 +22,7 @@ from residual_oracles import markov_match
 
 
 def test_example1_is_valid(example1):
-    assert validate_model(example1).ok
+    assert validate_model(example1) == []
 
 
 def test_shape_mismatch_is_reported(example1):
@@ -32,17 +32,17 @@ def test_shape_mismatch_is_reported(example1):
         (np.array([[1.0], [0.0]]),),  # 2x1 against n=3
         example1.C,
     )
-    report = validate_model(bad)
-    assert not report.ok
-    assert any("B shape mismatch" in v for v in report.violations)
+    violations = validate_model(bad)
+    assert violations
+    assert any("B shape mismatch" in v for v in violations)
 
 
 def test_nonfinite_entry_is_reported(example1):
     A = example1.A[0].copy()
     A[0, 0] = np.nan
     bad = LssModel("continuous", (A,), example1.B, example1.C)
-    report = validate_model(bad)
-    assert any("non-finite" in v for v in report.violations)
+    violations = validate_model(bad)
+    assert any("non-finite" in v for v in violations)
 
 
 class TestIsomorphism:
@@ -119,8 +119,7 @@ class TestGenerator:
 
     def test_strong_kind_is_strongly_stable(self):
         model = random_stable_model("discrete", 2, 2, kind="strong", seed=1)
-        report = check_strong_stability(model)
-        assert report.kronecker_spectral_radius < 1
+        assert check_strong_stability(model) < 1
 
     def test_strong_kind_rejects_continuous(self):
         with pytest.raises(ValueError, match="discrete"):
@@ -192,4 +191,4 @@ def test_padding_preserves_markov_parameters():
 def test_markov_parameter_shape():
     model = random_stable_model("discrete", 3, 2, m=2, p=1, seed=9)
     M = markov_parameter(model, (0, 1))
-    assert M.value.shape == (1 * 2, 2 * 2)
+    assert M.shape == (1 * 2, 2 * 2)

@@ -4,6 +4,7 @@ checks unpack library results; their shapes must still match."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,11 @@ def test_bound_check_reads_the_verify_report():
     res = reduce_model(model, order=2, source="nice")
     rep = verify_error_bound(model, res, trials=10, horizon=50, seed=1)
     assert _load("workloads")._bound_holds(rep) is None
+
+
+def test_readme_python_example_runs():
+    """The README's Python example runs as written, so a changed return type
+    breaks a test rather than the docs."""
+    text = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    exec(compile(example, "README.md", "exec"), {})
