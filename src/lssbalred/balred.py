@@ -9,7 +9,7 @@ grammian pair of the reduced model; with strict input grammians the reduced
 model stays quadratically stable.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .grammians import (
     pair_margin,
 )
 from .model import Isomorphism, LssModel, apply_isomorphism
-from .realization import minimize
 
 TIE_REL_TOL = 1e-8
 CONDITION_LIMIT = 1e12
@@ -51,8 +50,6 @@ class ReductionResult:
     apriori_bound: float
     balancing: BalancingResult
     strict_pair: bool
-    minimized_first: bool
-    original_order: int  # order of the model before minimize_first
 
     @property
     def discarded_sigmas(self):
@@ -121,19 +118,20 @@ def truncate(bal, r, force_ties=False):
     )
     bound = 2.0 * float(np.sum(sigmas[r:]))
     strict = pair_margin(bal.balanced_model, GrammianPair(np.diag(sigmas), np.diag(sigmas), "manual")) > 0
-    return ReductionResult(reduced, r, sigmas.copy(), bound, bal, strict,
-                           minimized_first=False, original_order=n)
+    return ReductionResult(reduced, r, sigmas.copy(), bound, bal, strict)
 
 
 def compute_pair(model, source="lmi", tighten=True, margin=None):
     """Grammian pair from one of GRAMMIAN_SOURCES: "lmi" (default,
     trace-tightened LMI solves), "nice" (exact mode-summed Stein solves) or
     "averaged" (nice plus a strict margin); the last two need a strongly
-    stable discrete-time model.  "nice" reads no margin and rejects one."""
+    stable discrete-time model and reject `tighten`, and "nice" a margin."""
     if source == "lmi":
         P = lmi_grammian(model, CONTROLLABILITY, tighten=tighten, margin=margin)
         Q = lmi_grammian(model, OBSERVABILITY, tighten=tighten, margin=margin)
         return GrammianPair(P, Q, "lmi")
+    if not tighten:
+        raise ValueError(f"only lmi grammians take tighten, not {source!r} grammians")
     if source == "nice":
         if margin is not None:
             raise ValueError("nice grammians take no margin")
@@ -143,33 +141,18 @@ def compute_pair(model, source="lmi", tighten=True, margin=None):
     raise ValueError(f"unknown grammian source {source!r}")
 
 
-def reduce_model(model, order=None, bound_budget=None, pair=None, source="lmi",
-                 minimize_first=False, force_ties=False, margin=None):
-    """End-to-end balanced truncation.
-
-    Exactly one of `order` (retained order r) or `bound_budget` (error budget
-    beta; the smallest r among admissible_orders and n with 2 * tail sum <=
-    beta is chosen) must be given.
-    `minimize_first` reduces the model to a minimal realization before
-    balancing, which never worsens the error bound.  `margin` is passed to
-    compute_pair, so a supplied `pair` rejects one.
-    """
+def reduce_model(model, pair, order=None, bound_budget=None, force_ties=False):
+    """Balance `model` by the grammian `pair` and keep `order` states, or the
+    fewest among admissible_orders and n whose bound 2 * tail sum meets
+    `bound_budget`; exactly one of the two must be given."""
     if (order is None) == (bound_budget is None):
         raise ValueError("specify exactly one of order or bound_budget")
-    if pair is not None and margin is not None:
-        raise ValueError("a supplied grammian pair takes no margin")
-    work = minimize(model) if minimize_first else model
-    if work.n == 0:
-        raise ValueError("model minimized to order zero; nothing to reduce")
-    if pair is None:
-        pair = compute_pair(work, source=source, margin=margin)
-    elif pair.P_ctrl.shape[0] != work.n:
+    if not pair.P_ctrl.shape == pair.Q_obs.shape == (model.n, model.n):
         raise ValueError("supplied grammian pair does not match the model being balanced")
-    bal = balance(work, pair)
+    bal = balance(model, pair)
     if order is not None:
         r = int(order)
     else:
         tails = 2.0 * (np.cumsum(bal.sigmas[::-1])[::-1])  # tails[k] = 2*sum(sigmas[k:])
-        r = next((k for k in admissible_orders(bal.sigmas) if tails[k] <= bound_budget), work.n)
-    result = truncate(bal, r, force_ties=force_ties)
-    return replace(result, minimized_first=bool(minimize_first), original_order=model.n)
+        r = next((k for k in admissible_orders(bal.sigmas) if tails[k] <= bound_budget), model.n)
+    return truncate(bal, r, force_ties=force_ties)

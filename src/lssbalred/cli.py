@@ -21,7 +21,7 @@ from .errors import InfeasibleError, LssError, ModelFormatError
 from .gain import l2_gain_upper_bound
 from .grammians import GrammianPair, check_membership, singular_values
 from .model import _matrix_to_lists, _modes_to_lists, _parse_matrix, load_model
-from .realization import is_minimal
+from .realization import is_minimal, minimize, minimize_with_pair
 from .simulate import (
     decay_horizon,
     empirical_gain,
@@ -135,18 +135,23 @@ def cmd_grammians(args, model):
 
 
 def _reduce(args, model):
-    """reduce_model with the options of the reduce and verify-bound commands."""
+    """The reduce and verify-bound pipeline: minimize on --minimize-first,
+    carrying a --pair-file pair along, else compute the pair; then reduce."""
+    if (args.order is None) == (args.bound is None):
+        raise ValueError("specify exactly one of --order or --bound")
+    if args.pair_file and args.margin is not None:
+        raise ValueError("a supplied grammian pair takes no margin")
     pair = _load_pair(args.pair_file, model.n) if args.pair_file else None
-    return reduce_model(
-        model,
-        order=args.order,
-        bound_budget=args.bound,
-        pair=pair,
-        source=args.grammians,
-        minimize_first=args.minimize_first,
-        force_ties=args.force_ties,
-        margin=args.margin,
-    )
+    if args.minimize_first and pair:
+        model, P, Q = minimize_with_pair(model, pair.P_ctrl, pair.Q_obs)
+        pair = GrammianPair(P, Q, pair.provenance)
+    elif args.minimize_first:
+        model = minimize(model)
+    if model.n == 0:
+        raise ValueError("model minimized to order zero; nothing to reduce")
+    pair = pair or compute_pair(model, source=args.grammians, margin=args.margin)
+    return reduce_model(model, pair, order=args.order, bound_budget=args.bound,
+                        force_ties=args.force_ties)
 
 
 def cmd_reduce(args, model):
@@ -154,7 +159,7 @@ def cmd_reduce(args, model):
     bal = res.balancing
     reduced = res.reduced_model
     result = {
-        "original_order": int(res.original_order),
+        "original_order": int(model.n),
         "retained": int(res.retained),
         "sigmas": _vec(res.sigmas),
         "apriori_bound": float(res.apriori_bound),
@@ -162,7 +167,7 @@ def cmd_reduce(args, model):
         "transform_condition": float(bal.transform.condition_estimate),
         "grammian_provenance": bal.pair.provenance,
         "strict_pair": bool(res.strict_pair),
-        "minimized_first": bool(res.minimized_first),
+        "minimized_first": bool(args.minimize_first),
         "reduced_model": {"time_domain": reduced.time_domain, "modes": _modes_to_lists(reduced)},
         "residuals": {
             "reduced_controllability": _vec(check_membership(reduced, res.lambda1, "C").residuals),

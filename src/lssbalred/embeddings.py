@@ -199,6 +199,8 @@ def monte_carlo_stochastic_energy(model, u, trials, horizon, seed):
     scaled = stochastic_embedding(model)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if horizon < 1:
+        raise ValueError(f"horizon {horizon} is shorter than one step")
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]

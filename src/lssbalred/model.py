@@ -213,9 +213,16 @@ def random_stable_model(time_domain, n, D, m=1, p=1, kind="quadratic", seed=0,
     return LssModel(time_domain, tuple(As), tuple(Bs), tuple(Cs))
 
 
+def _io_shape(model):
+    return model.time_domain, model.num_modes, model.m, model.p
+
+
 def difference_system(model1, model2):
     """The model (diag(A_1, A_2), [B_1; B_2], [C_1, -C_2]) driven by the
     shared input, whose output is y_1 - y_2."""
+    if _io_shape(model1) != _io_shape(model2):
+        raise ValueError(f"no difference system of models with (time domain, modes, m, p) "
+                         f"{_io_shape(model1)} and {_io_shape(model2)}")
     Z = np.zeros((model1.n, model2.n))
     return LssModel(
         model1.time_domain,

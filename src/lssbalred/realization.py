@@ -11,7 +11,7 @@ steps.
 import numpy as np
 
 from ._linalg import orth_columns, orth_complement
-from .model import LssModel, difference_system, dual_system
+from .model import LssModel, _io_shape, difference_system, dual_system
 
 
 def _stacked_output(model):
@@ -146,12 +146,7 @@ def equivalent(model1, model2):
     system (shared input, subtracted outputs) must have its reachable image
     inside its unobservable kernel.  Polynomial cost, no word enumeration.
     """
-    if (
-        model1.num_modes != model2.num_modes
-        or model1.m != model2.m
-        or model1.p != model2.p
-        or model1.time_domain != model2.time_domain
-    ):
+    if _io_shape(model1) != _io_shape(model2):
         return False
     diff = difference_system(model1, model2)
     reach = reachable_subspace(diff)

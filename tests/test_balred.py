@@ -13,9 +13,7 @@ from lssbalred import (
 )
 from lssbalred.balred import admissible_orders, compute_pair
 from lssbalred.grammians import pair_margin
-from lssbalred.model import pad_with_dead_states
-from lssbalred.realization import is_minimal, minimize
-from residual_oracles import markov_match
+from lssbalred.realization import is_minimal
 
 
 class TestBalance:
@@ -140,7 +138,7 @@ class TestReduce:
     def test_example1_by_order(self, example1):
         # trace tightening separates the sigmas (the untightened solver is
         # free to return the same matrix for both families, tying them all)
-        res = reduce_model(example1, order=2, source="lmi")
+        res = reduce_model(example1, compute_pair(example1, "lmi"), order=2)
         assert res.retained == 2
         assert res.reduced_model.n == 2
         assert res.apriori_bound == pytest.approx(2.0 * np.sum(res.sigmas[2:]))
@@ -166,30 +164,19 @@ class TestReduce:
         assert res.apriori_bound == 0.0
 
     def test_requires_exactly_one_target(self, example1):
+        pair = compute_pair(example1, "lmi")
         with pytest.raises(ValueError):
-            reduce_model(example1)
+            reduce_model(example1, pair)
         with pytest.raises(ValueError):
-            reduce_model(example1, order=2, bound_budget=1.0)
-
-    def test_minimize_first_matches_reduction_of_minimal_model(self, example1):
-        padded = pad_with_dead_states(example1, 1, seed=4)
-        res_padded = reduce_model(padded, order=2, minimize_first=True,
-                                  source="lmi")
-        assert res_padded.minimized_first
-        assert res_padded.original_order == 4
-        res_minimal = reduce_model(minimize(padded), order=2, source="lmi")
-        assert res_padded.reduced_model.n == res_minimal.reduced_model.n == 2
-        # both reduced models realize the same input-output map
-        assert markov_match(res_padded.reduced_model, res_minimal.reduced_model,
-                            max_len=5, rtol=1e-5)
+            reduce_model(example1, pair, order=2, bound_budget=1.0)
 
     def test_nice_source_requires_discrete(self, example1):
         with pytest.raises(ValueError):
-            reduce_model(example1, order=1, source="nice")
+            compute_pair(example1, "nice")
 
     def test_nice_source_on_strong_model(self):
         model = random_stable_model("discrete", 3, 2, kind="strong", seed=9)
-        res = reduce_model(model, order=2, source="nice", force_ties=True)
+        res = reduce_model(model, compute_pair(model, "nice"), order=2, force_ties=True)
         assert res.balancing.pair.provenance == "nice"
         assert res.reduced_model.n == 2
 
@@ -198,11 +185,11 @@ class TestReduce:
         with pytest.raises(ValueError, match="does not match"):
             reduce_model(example1, order=1, pair=pair)
 
-
-    def test_supplied_pair_rejects_a_margin(self, example1, example1_lambda):
-        pair = GrammianPair(example1_lambda, example1_lambda, "manual")
-        with pytest.raises(ValueError, match="no margin"):
-            reduce_model(example1, order=2, pair=pair, margin=0.3)
+    def test_observability_grammian_size_is_checked(self, example1):
+        # a Q of the wrong size is refused up front, not inside a matmul
+        pair = GrammianPair(np.eye(3), np.eye(2), "manual")
+        with pytest.raises(ValueError, match="does not match"):
+            reduce_model(example1, pair, order=1)
 
 
 def test_balanced_fixed_point_has_identity_transform():

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from lssbalred import random_stable_model, save_model
+from lssbalred import loads_model, nice_grammians, random_stable_model, save_model
 from lssbalred.cli import COMMANDS, FLAGS, main
+from lssbalred.model import pad_with_dead_states
+from lssbalred.realization import equivalent, minimize
+from residual_oracles import markov_match
 
 try:
     import jsonschema
@@ -73,6 +76,44 @@ def test_reduce_with_solver_grammians(example1_path, tmp_path):
     assert rep["result"]["grammian_provenance"] == "lmi"
     # the reduced pair residuals certify Lambda_1 membership
     assert all(r <= 1e-9 for r in rep["result"]["residuals"]["reduced_controllability"])
+
+
+def _reduce_report(tmp_path, model, name, flags):
+    path = tmp_path / f"{name}.json"
+    save_model(model, path)
+    out = tmp_path / f"{name}.report.json"
+    assert main(["reduce", "--model", str(path), "--out", str(out)] + flags) == 0
+    return read_report(out)["result"]
+
+
+def test_minimize_first_matches_reduction_of_minimal_model(example1, tmp_path):
+    padded = pad_with_dead_states(example1, 1, seed=4)
+    res_padded = _reduce_report(tmp_path, padded, "padded", ["--order", "2", "--minimize-first"])
+    assert res_padded["minimized_first"]
+    assert res_padded["original_order"] == 4
+    res_minimal = _reduce_report(tmp_path, minimize(padded), "minimal", ["--order", "2"])
+    assert res_padded["sigmas"] == res_minimal["sigmas"]
+    assert res_padded["apriori_bound"] == res_minimal["apriori_bound"]
+    assert res_padded["retained"] == res_minimal["retained"] == 2
+    # both reduced models realize the same input-output map
+    reduced = [loads_model(json.dumps(res["reduced_model"])) for res in (res_padded, res_minimal)]
+    assert markov_match(*reduced, max_len=5, rtol=1e-5)
+
+
+def test_pair_file_follows_minimize_first(tmp_path):
+    # the pair must move into the minimal basis with the model; balancing the
+    # minimized model by the file's pair as written gave a pair margin of
+    # -17.5 and a reduced model with another input-output map
+    model = random_stable_model("discrete", 5, 2, kind="strong", seed=3)
+    pair = nice_grammians(model)
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps({"P": pair.P_ctrl.tolist(), "Q": pair.Q_obs.tolist()}))
+    flags = ["--order", "2", "--pair-file", str(pair_path)]
+    res_plain = _reduce_report(tmp_path, model, "plain", flags)
+    res_min = _reduce_report(tmp_path, model, "min", flags + ["--minimize-first"])
+    assert res_min["strict_pair"] is True
+    reduced = [loads_model(json.dumps(res["reduced_model"])) for res in (res_min, res_plain)]
+    assert equivalent(*reduced)
 
 
 def test_check_reports_strong_stability_radius(dt_unstable_path, tmp_path):
@@ -208,8 +249,6 @@ def test_flags_that_change_no_answer_exit_one(example1_path, argv):
 
 
 def test_reduced_model_in_report_round_trips(example1_path, lambda_pair_path, tmp_path):
-    from lssbalred import loads_model
-
     out = tmp_path / "report.json"
     main(["reduce", "--model", example1_path, "--order", "2",
           "--pair-file", lambda_pair_path, "--out", str(out)])

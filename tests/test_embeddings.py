@@ -144,6 +144,11 @@ class TestStochasticEmbedding:
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_stochastic_energy(dt_two_mode, np.ones((5, 1)), 0, 5, seed=0)
 
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_rejects_horizon_shorter_than_one_step(self, dt_two_mode, horizon):
+        with pytest.raises(ValueError, match="shorter than one step"):
+            monte_carlo_stochastic_energy(dt_two_mode, np.ones(5), 100, horizon, seed=0)
+
     def test_one_dimensional_input_is_one_column(self, dt_two_mode):
         u = np.linspace(1.0, 0.0, 6)
         flat = monte_carlo_stochastic_energy(dt_two_mode, u, 100, 6, seed=5)

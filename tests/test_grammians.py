@@ -216,6 +216,12 @@ class TestAveraged:
         with pytest.raises(ValueError, match="no margin"):
             compute_pair(model, "nice", margin=0.3)
 
+    @pytest.mark.parametrize("source", ["nice", "averaged"])
+    def test_untightened_routes_reject_tighten(self, source):
+        model = random_stable_model("discrete", 3, 2, kind="strong", seed=1)
+        with pytest.raises(ValueError, match="tighten"):
+            compute_pair(model, source, tighten=False)
+
     def test_expanding_pair_infeasible(self):
         model = scalar_two_mode("discrete", 0.8, 0.8)
         with pytest.raises(InfeasibleError):

@@ -15,7 +15,7 @@ from lssbalred import (
     random_stable_model,
     validate_model,
 )
-from lssbalred.model import pad_with_dead_states
+from lssbalred.model import difference_system, pad_with_dead_states
 from lssbalred.realization import markov_parameter
 from lssbalred.stability import check_strong_stability
 from residual_oracles import markov_match
@@ -105,6 +105,21 @@ class TestDual:
         twice = dual_system(dual_system(model))
         for M1, M2 in zip(twice.A + twice.B + twice.C, model.A + model.B + model.C):
             np.testing.assert_array_equal(M1, M2)
+
+
+class TestDifferenceSystem:
+    @pytest.mark.parametrize("other", [
+        random_stable_model("discrete", 3, 3, seed=2),  # mode count
+        random_stable_model("continuous", 3, 2, seed=2),  # time domain
+        random_stable_model("discrete", 3, 2, m=2, seed=2),  # inputs
+        random_stable_model("discrete", 3, 2, p=2, seed=2),  # outputs
+    ])
+    def test_mismatched_models_are_rejected(self, other):
+        model = random_stable_model("discrete", 3, 2, seed=1)
+        with pytest.raises(ValueError, match="difference system"):
+            difference_system(model, other)
+        with pytest.raises(ValueError, match="difference system"):
+            difference_system(other, model)
 
 
 class TestGenerator:

@@ -8,6 +8,7 @@ from lssbalred import (
     LssModel,
     SwitchingSignal,
     check_energy_lemmas,
+    compute_pair,
     decay_horizon,
     empirical_gain,
     empirical_hankel_gain,
@@ -234,7 +235,7 @@ class TestErrorBound:
     def test_witness_replays_the_worst_ratio(self, example1, example1_lambda, domain):
         if domain == "discrete":
             model, h, horizon = random_stable_model(domain, 4, 2, kind="strong", seed=3), None, 60
-            res = reduce_model(model, order=2, source="nice", force_ties=True)
+            res = reduce_model(model, compute_pair(model, "nice"), order=2, force_ties=True)
         else:
             model, h, horizon = example1, 0.02, 10.0
             pair = GrammianPair(example1_lambda, example1_lambda, "manual")
@@ -250,9 +251,17 @@ class TestErrorBound:
     def test_random_dt_models_with_nice_grammians_pass(self):
         for seed in range(20):
             model = random_stable_model("discrete", 4, 2, kind="strong", seed=seed)
-            res = reduce_model(model, order=2, source="nice", force_ties=True)
+            res = reduce_model(model, compute_pair(model, "nice"), order=2, force_ties=True)
             rep = verify_error_bound(model, res, trials=50, horizon=200, seed=seed)
             assert rep.passed, (seed, rep)
+
+
+    def test_result_of_another_model_is_rejected(self):
+        model = random_stable_model("discrete", 4, 2, kind="strong", seed=3)
+        other = random_stable_model("discrete", 4, 3, kind="strong", seed=3)
+        res = reduce_model(other, compute_pair(other, "nice"), order=2, force_ties=True)
+        with pytest.raises(ValueError, match="difference system"):
+            verify_error_bound(model, res, trials=5, horizon=20, seed=1)
 
 
 class TestEnergyLemmas:

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from lssbalred import l2_gain_upper_bound, random_stable_model, reduce_model, verify_error_bound
+from lssbalred import (
+    compute_pair,
+    l2_gain_upper_bound,
+    random_stable_model,
+    reduce_model,
+    verify_error_bound,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,9 +48,17 @@ def test_cli_workload_ops_pass_their_checks(tmp_path):
         assert op.check(op.run()) is None, op.name
 
 
+@pytest.mark.parametrize("setup", ["setup_gain", "setup_nice", "setup_mc"])
+def test_library_workload_ops_pass_their_checks(setup, tmp_path):
+    """One pass of each library workload, so an op that fails its check
+    or raises fails here rather than in a benchmark run."""
+    for op in getattr(_load("workloads"), setup)(1, tmp_path):
+        assert op.check(op.run()) is None, op.name
+
+
 def test_bound_check_reads_the_verify_report():
     model = random_stable_model("discrete", 4, 2, kind="strong", seed=2)
-    res = reduce_model(model, order=2, source="nice")
+    res = reduce_model(model, compute_pair(model, "nice"), order=2)
     rep = verify_error_bound(model, res, trials=10, horizon=50, seed=1)
     assert _load("workloads")._bound_holds(rep) is None
 
