@@ -17,17 +17,18 @@ def symmetrize(M):
     return 0.5 * (M + M.T)
 
 
-def sym_defect(M):
-    """Absolute asymmetry ||M - M^T||_max."""
-    return float(np.max(np.abs(M - M.T))) if M.size else 0.0
+def asymmetric(M, tol):
+    """Whether M, or any matrix of a stack (..., k, k), is asymmetric beyond tol
+    times its own scale: max |M - M^T| > tol * max(1, max |M|)."""
+    defect = abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return bool((defect > tol * abs(M).max(axis=(-2, -1), initial=1.0)).any())
 
 
 def require_symmetric(M, what="matrix"):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    if sym_defect(M) > SYM_TOL * scale:
+    if asymmetric(M, SYM_TOL):
         raise ValueError(f"{what} is not symmetric within {SYM_TOL}")
     return symmetrize(M)
 

@@ -144,9 +144,11 @@ def compute_pair(model, source="lmi", tighten=True, margin=None):
 def reduce_model(model, pair, order=None, bound_budget=None, force_ties=False):
     """Balance `model` by the grammian `pair` and keep `order` states, or the
     fewest among admissible_orders and n whose bound 2 * tail sum meets
-    `bound_budget`; exactly one of the two must be given."""
+    `bound_budget` >= 0; exactly one of the two must be given."""
     if (order is None) == (bound_budget is None):
         raise ValueError("specify exactly one of order or bound_budget")
+    if bound_budget is not None and not bound_budget >= 0:
+        raise ValueError(f"bound budget must be >= 0, got {bound_budget}")
     if not pair.P_ctrl.shape == pair.Q_obs.shape == (model.n, model.n):
         raise ValueError("supplied grammian pair does not match the model being balanced")
     bal = balance(model, pair)

@@ -25,10 +25,10 @@ from .realization import is_minimal, minimize, minimize_with_pair
 from .simulate import (
     decay_horizon,
     empirical_gain,
+    horizon_steps,
     random_input_batch,
     random_switching,
     simulate,
-    steps_from_signal,
     verify_error_bound,
     zoh_input_norm,
 )
@@ -77,14 +77,16 @@ def _report(command, args, model, result, status, config_keys):
 
 
 def _horizon_and_step(model, args):
-    """(horizon, h): --horizon, else a certified decay horizon; h is None in discrete time."""
+    """(horizon, h, steps): --horizon, else a certified decay horizon, and its
+    horizon_steps count; a discrete horizon is that count and has h None."""
     h = None if model.is_discrete else args.step
-    if args.horizon is not None:
-        return (int(args.horizon) if model.is_discrete else args.horizon), h
-    cert = check_quadratic_stability(model)
-    if cert is None:
-        return (200 if model.is_discrete else 20.0), h
-    return decay_horizon(model, cert, h=h), h
+    horizon = args.horizon
+    if horizon is None:
+        cert = check_quadratic_stability(model)
+        horizon = ((200 if model.is_discrete else 20.0) if cert is None
+                   else decay_horizon(model, cert, h=h))
+    steps = horizon_steps(model.time_domain, horizon, h)
+    return (steps if model.is_discrete else horizon), h, steps
 
 
 def _load_pair(path, n):
@@ -185,14 +187,13 @@ def cmd_gain(args, model):
 
 def cmd_simulate(args, model):
     rng = np.random.default_rng(args.seed)
-    horizon, h = _horizon_and_step(model, args)
+    horizon, h, steps = _horizon_and_step(model, args)
     signal = random_switching(model.num_modes, model.time_domain, rng, horizon, h=h)
-    steps = steps_from_signal(signal, h=h)
-    u = random_input_batch(rng, 1, steps.size, model.m, model.time_domain, h=h)[0]
+    u = random_input_batch(rng, 1, steps, model.m, model.time_domain, h=h)[0]
     traj = simulate(model, u, signal, h=h)
     result = {
         "horizon": float(horizon),
-        "steps": int(steps.size),
+        "steps": steps,
         "output_l2_norm": traj.output_norm,
         "input_l2_norm": float(zoh_input_norm(traj.inputs, h=h)),
         "switching": {
@@ -229,7 +230,7 @@ def _write_csv(path, traj, model):
 
 def cmd_verify_bound(args, model):
     res = _reduce(args, model)
-    horizon, h = _horizon_and_step(model, args)
+    horizon, h, _ = _horizon_and_step(model, args)
     report = verify_error_bound(model, res, args.trials, horizon, args.seed, h=h)
     result = {
         "retained": int(res.retained),
@@ -255,7 +256,7 @@ def cmd_embed(args, model):
         "empirical_gain_lower_bound": None,
     }
     if args.trials:
-        horizon = int(args.horizon) if args.horizon is not None else 50
+        horizon = 50 if args.horizon is None else args.horizon
         est = empirical_gain(model, args.trials, horizon, args.seed)
         result["empirical_gain_lower_bound"] = float(est.lower_bound)
     return result, "ok"

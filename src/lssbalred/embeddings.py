@@ -18,9 +18,9 @@ import numpy as np
 
 from ._linalg import max_eig, min_eig, stein_radius, stein_solve
 from .lmi import check_membership
-from .model import DISCRETE, LssModel
+from .model import DISCRETE, LssModel, require_discrete
 from .realization import is_minimal, subspace_closure
-from .simulate import _dt_run_batch
+from .simulate import _dt_run_batch, horizon_steps
 
 PROJECTION_TOL = 1e-9  # residual tolerance of the block-grammian projection checks
 MC_CHUNK = 4096  # Monte Carlo trials per random stream
@@ -48,15 +48,10 @@ class StochasticEnergyReport:
     mc_se: float
 
 
-def _require_discrete(model):
-    if not model.is_discrete:
-        raise ValueError("embeddings are defined for discrete-time models only")
-
-
 def build_uncertain_embedding(model):
     """The structured uncertain system associated with a discrete-time
     switched model, as a one-mode model of order (D+1)n with mD inputs."""
-    _require_discrete(model)
+    require_discrete(model)
     n, m, p, D = model.n, model.m, model.p, model.num_modes
     N = n * (D + 1)
     A = np.zeros((N, N))
@@ -106,7 +101,7 @@ def check_beck_grammian_projection(model, blockP, blockQ):
     mode-summed inequalities and plain per-mode grammian membership of the
     first blocks P_1, Q_1.
     """
-    _require_discrete(model)
+    require_discrete(model)
     D, n = model.num_modes, model.n
     if len(blockP) != D + 1 or len(blockQ) != D + 1:
         raise ValueError(f"expected {D + 1} diagonal blocks")
@@ -141,7 +136,7 @@ def feasible_block_pair(model):
     inflated mode-summed Stein equations and the satellite blocks dominate
     the Gram cross terms, so the embedded inequalities hold with margin.
     """
-    _require_discrete(model)
+    require_discrete(model)
     D, n = model.num_modes, model.n
     As = [math.sqrt(D) * A for A in model.A]
     rho = stein_radius(As)
@@ -178,7 +173,7 @@ def feasible_block_pair(model):
 def stochastic_embedding(model):
     """The jump system with matrices scaled by 1/sqrt(p), whose modes are
     drawn i.i.d. with probability p = 1/D each."""
-    _require_discrete(model)
+    require_discrete(model)
     s = 1.0 / math.sqrt(1.0 / model.num_modes)
     return LssModel(
         DISCRETE,
@@ -195,12 +190,9 @@ def monte_carlo_stochastic_energy(model, u, trials, horizon, seed):
     1-D u is one column); returns the mean with its standard error.  Chunk i
     of MC_CHUNK trials draws its modes from the stream
     SeedSequence(entropy=seed, spawn_key=(i,)), so the result is
-    deterministic given the seed."""
+    deterministic given the seed.  horizon_steps checks horizon and trials."""
     scaled = stochastic_embedding(model)
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if horizon < 1:
-        raise ValueError(f"horizon {horizon} is shorter than one step")
+    horizon = horizon_steps(DISCRETE, horizon, trials=trials)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         u = u[:, None]

@@ -45,10 +45,10 @@ def l2_gain_upper_bound(model, tol=1e-3):
     is warm-started from diag(I, guess^2), guess = max_q |B_q| |C_q|, and
     settles at a DR step of 1e-2 * `tol` relative.  Returns
     (gamma_star, certificate), where the certificate was verified at
-    gamma_star and the true gain is at most gamma_star.  `tol` must be > 0.
+    gamma_star and the true gain is at most gamma_star.  `tol` is finite, > 0.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if check_quadratic_stability(model) is None:
         raise InfeasibleError("no quadratic stability certificate found")
     n = model.n

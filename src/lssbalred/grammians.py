@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import chol_pd, min_eig, require_symmetric, stein_solve, symmetrize
 from .errors import InfeasibleError
-from .lmi import check_membership, family_system, solve_feasibility, tighten_trace
+from .lmi import check_membership, checked_margin, family_system, solve_feasibility, tighten_trace
 from .stability import require_strong_stability
 
 CONTROLLABILITY = "controllability"
@@ -73,10 +73,8 @@ def lmi_grammian(model, kind, tighten=True, margin=None):
 
 def _summed_pair(model, GB, GC, provenance):
     """The pair P = sum_q A_q P A_q^T + GB, Q = sum_q A_q^T Q A_q + GC of a
-    strongly stable discrete-time model: one strong-stability check, then
-    the Stein series of the operator and of its adjoint."""
-    if not model.is_discrete:
-        raise ValueError(f"{provenance} grammians are defined for discrete-time models only")
+    strongly stable discrete-time model: require_strong_stability (which also
+    rejects continuous time), then the Stein series of L and of its adjoint."""
     require_strong_stability(model)
     P = stein_solve(model.A, GB)
     return GrammianPair(P, stein_solve([A.T for A in model.A], GC), provenance)
@@ -110,11 +108,7 @@ def averaged_grammians(model, margin=None):
     strong stability, so any other model raises InfeasibleError.
     """
     scale = max(float(np.max(np.abs(A))) for A in model.A)
-    if margin is None:
-        margin = 1e-7 * max(1.0, scale) ** 2
-    elif not margin >= 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    c = max(margin * 2.0, 1e-9)
+    c = max(checked_margin(margin, 1e-7 * max(1.0, scale) ** 2) * 2.0, 1e-9)
     cI = c * np.eye(model.n)
     GB, GC = model.gram_sums()
     return _summed_pair(model, GB + cI, GC + cI, "averaged")

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
+    asymmetric,
     max_eig,
     require_symmetric,
     svec,
@@ -35,6 +36,7 @@ from ._linalg import (
     sym_basis,
     symmetrize,
 )
+from .model import require_discrete
 
 DEFAULT_BUDGET = 5000
 OBJECTIVE_BUDGET = 20000
@@ -120,8 +122,7 @@ def family_system(model, family, gamma=None):
     """
     n = model.n
     if family in ("Osum", "Csum"):
-        if not model.is_discrete:
-            raise ValueError("mode-summed families are defined for discrete-time models only")
+        require_discrete(model)
         I = np.eye(n)
         GB, GC = model.gram_sums()
         if family == "Csum":
@@ -260,7 +261,7 @@ class _CompiledSystem:
         maps, consts = [], []
         for i, b in enumerate(sys.blocks):
             images = sum(t.apply(basis) for t in b.terms)
-            if _asymmetric(images) or _asymmetric(b.constant[None]):
+            if asymmetric(images, 1e-12) or asymmetric(b.constant, 1e-12):
                 raise ValueError(f"constraint block {i} violates symmetry")
             maps.append(svec(0.5 * (images + images.swapaxes(1, 2))).T)
             consts.append(svec(symmetrize(b.constant)))
@@ -297,11 +298,13 @@ class _CompiledSystem:
         return [v[gather] / divisor for gather, divisor, _, _ in self.cones]
 
 
-def _asymmetric(stack, tol=1e-12):
-    """Whether any matrix of a (count, k, k) stack is asymmetric beyond tol
-    times its own scale max(1, max |entry|)."""
-    defect = np.max(np.abs(stack - stack.swapaxes(1, 2)), axis=(1, 2))
-    return bool(np.any(defect > tol * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))))
+def checked_margin(margin, default):
+    """`default` if `margin` is None, else `margin`: the one check that it is finite and >= 0."""
+    if margin is None:
+        return default
+    if not 0 <= margin < np.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
+    return margin
 
 
 def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
@@ -331,10 +334,7 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
     scale = sys.data_scale()
     if budget is None:
         budget = DEFAULT_BUDGET if objective is None else OBJECTIVE_BUDGET
-    if margin is None:
-        margin = MARGIN_SCALE_FACTOR * scale
-    elif not margin >= 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
+    margin = checked_margin(margin, MARGIN_SCALE_FACTOR * scale)
     # Project onto slightly deeper cones so that acceptance at `margin`
     # triggers at a finite iterate.
     gap = max(10.0 * margin, 1e-6 * scale)

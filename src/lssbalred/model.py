@@ -75,6 +75,13 @@ class LssModel:
         return sum(B @ B.T for B in self.B), sum(C.T @ C for C in self.C)
 
 
+def require_discrete(model):
+    """The one discrete-time gate (strong stability, nice and averaged grammians,
+    mode-summed families, embeddings): ValueError unless `model` is discrete."""
+    if not model.is_discrete:
+        raise ValueError(f"defined for discrete-time models only, got a {model.time_domain} model")
+
+
 @dataclass(frozen=True)
 class SwitchingSignal:
     """Finite mode schedule: dwell-time list in continuous time, a plain

@@ -99,23 +99,36 @@ class EnergyCheckReport:
 # ---------------------------------------------------------------------------
 
 
+def horizon_steps(time_domain, horizon, h=None, trials=1):
+    """Steps of a run over `horizon`: int(horizon) in discrete time (h unread),
+    round(horizon / h) in continuous time.  The one home of the run-length rules:
+    trials >= 1, a finite step h > 0, a finite horizon and at least one step."""
+    if trials < 1:
+        raise ValueError(f"at least one trial is needed, got trials={trials}")
+    discrete = time_domain == DISCRETE
+    if not discrete and (h is None or not 0 < h < math.inf):
+        raise ValueError(f"continuous-time simulation requires a finite positive step h, got {h}")
+    ratio = horizon if discrete else horizon / h
+    if not math.isfinite(ratio):
+        raise ValueError(f"horizon {horizon} is not a finite number of steps")
+    steps = int(ratio) if discrete else round(ratio)
+    if steps < 1:
+        raise ValueError(f"horizon {horizon} is shorter than one step")
+    return steps
+
+
 def steps_from_signal(signal, h=None):
     """Per-step 0-based mode indices implied by a switching signal.
 
     Discrete signals expand to themselves.  Continuous signals require h to
-    divide every dwell within 1e-9.
+    divide every dwell within 1e-9; horizon_steps counts each dwell's steps.
     """
     if signal.time_domain == DISCRETE:
         return np.asarray(signal.modes, dtype=int)
-    if h is None or h <= 0:
-        raise ValueError("continuous-time simulation requires a positive step h")
-    counts = []
-    for dwell in signal.dwells:
-        ratio = dwell / h
-        snapped = round(ratio)
-        if snapped < 1 or abs(ratio - snapped) > DWELL_ALIGN_TOL * max(1.0, ratio):
+    counts = [horizon_steps(CONTINUOUS, dwell, h) for dwell in signal.dwells]
+    for dwell, count in zip(signal.dwells, counts):
+        if abs(dwell / h - count) > DWELL_ALIGN_TOL * max(1.0, dwell / h):
             raise ValueError(f"step {h} does not divide dwell {dwell}")
-        counts.append(int(snapped))
     return np.repeat(np.asarray(signal.modes, dtype=int), counts)
 
 
@@ -213,10 +226,8 @@ def simulate(model, u, signal, h=None):
     energy carry no integration error.
     """
     signal.validate_against(model)
-    if model.is_discrete and signal.time_domain != DISCRETE:
-        raise ValueError("discrete model needs a discrete switching signal")
-    if not model.is_discrete and signal.time_domain != CONTINUOUS:
-        raise ValueError("continuous model needs a dwell-time switching signal")
+    if signal.time_domain != model.time_domain:
+        raise ValueError(f"{model.time_domain} model needs a {model.time_domain} switching signal")
     modes = steps_from_signal(signal, h=h)
     N = modes.size
     u = np.asarray(u, dtype=float)
@@ -264,10 +275,10 @@ def random_switching(D, time_domain, rng, horizon, h=None):
     step in discrete time; in continuous time exponential dwell times of mean
     max(horizon / 8, 4 h) snapped to the simulation grid (so the step always
     divides every dwell)."""
+    remaining = horizon_steps(time_domain, horizon, h)
     if time_domain == DISCRETE:
-        return SwitchingSignal(DISCRETE, tuple(int(q) for q in rng.integers(0, D, int(horizon))))
+        return SwitchingSignal(DISCRETE, tuple(int(q) for q in rng.integers(0, D, remaining)))
     mean_dwell = max(horizon / 8.0, 4.0 * h)
-    remaining = round(horizon / h)
     modes, dwells = [], []
     while remaining > 0:
         steps = min(remaining, max(1, round(rng.exponential(mean_dwell) / h)))
@@ -313,13 +324,7 @@ def random_input_batch(rng, trials, N, m, time_domain, h=None):
 def _batch_signals(model, rng, trials, horizon, h, cutoff=None):
     """Random (mode sequences, inputs) for a batch of trials; with `cutoff`
     the inputs are zeroed from a random index on (returned as well)."""
-    if trials < 1:
-        raise ValueError(f"at least one trial is needed, got {trials}")
-    if not model.is_discrete and (h is None or h <= 0):
-        raise ValueError("continuous-time simulation requires a positive step h")
-    N = int(horizon) if model.is_discrete else round(horizon / h)
-    if N < 1:
-        raise ValueError(f"horizon {horizon} is shorter than one step")
+    N = horizon_steps(model.time_domain, horizon, h, trials)
     D = model.num_modes
     if model.is_discrete:
         modeseq = rng.integers(0, D, size=(trials, N))
@@ -438,7 +443,5 @@ def decay_horizon(model, cert, h=None):
         return max(8, min(steps, HORIZON_CAP))
     T = math.log(1.0 / DECAY_TARGET) / rate
     if h is not None:
-        T = min(T, HORIZON_CAP * h)
-        T = max(T, 8 * h)
-        T = round(T / h) * h
+        T = horizon_steps(CONTINUOUS, max(min(T, HORIZON_CAP * h), 8 * h), h) * h
     return T

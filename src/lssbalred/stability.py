@@ -12,6 +12,7 @@ import numpy as np
 from ._linalg import min_eig, stein_radius, stein_solve
 from .errors import InfeasibleError
 from .lmi import check_membership, family_system, solve_feasibility
+from .model import require_discrete
 
 
 def check_quadratic_stability(model):
@@ -27,9 +28,8 @@ def check_quadratic_stability(model):
 
 def check_strong_stability(model):
     """Spectral radius of the mode-summed Stein operator; the model is
-    strongly stable iff it is < 1."""
-    if not model.is_discrete:
-        raise ValueError("strong stability is a discrete-time notion")
+    strongly stable iff it is < 1.  Discrete time only."""
+    require_discrete(model)
     return stein_radius(model.A)
 
 

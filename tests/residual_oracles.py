@@ -34,7 +34,6 @@ from lssbalred._linalg import (
     svec_index,
     symmetrize,
 )
-from lssbalred.embeddings import _require_discrete
 from lssbalred.lmi import (
     DEFAULT_BUDGET,
     MARGIN_SCALE_FACTOR,
@@ -45,6 +44,7 @@ from lssbalred.lmi import (
     FeasibilityResult,
     _CompiledSystem,
 )
+from lssbalred.model import require_discrete
 from lssbalred.realization import markov_parameter, word_matrix
 
 
@@ -379,7 +379,7 @@ def exhaustive_stochastic_energy(model, u, horizon):
     """Word-sum oracle: sum over t < horizon and all words of length t+1 of
     the squared deterministic output at time t.  Exponential in the
     horizon."""
-    _require_discrete(model)
+    require_discrete(model)
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[0] < horizon:
         raise ValueError("input must cover the horizon")

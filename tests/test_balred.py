@@ -163,6 +163,13 @@ class TestReduce:
         assert res.retained == 3
         assert res.apriori_bound == 0.0
 
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_negative_or_nan_bound_budget_is_rejected(self, example1, example1_lambda, budget):
+        # such a budget used to keep every state and report apriori_bound 0.0
+        pair = GrammianPair(example1_lambda, example1_lambda, "manual")
+        with pytest.raises(ValueError, match="bound budget"):
+            reduce_model(example1, pair, bound_budget=budget)
+
     def test_requires_exactly_one_target(self, example1):
         pair = compute_pair(example1, "lmi")
         with pytest.raises(ValueError):

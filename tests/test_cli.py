@@ -408,12 +408,17 @@ def dt4_path(tmp_path):
                                   ["grammians", "--grammians", "averaged", "--margin=-1e-3"],
                                   ["verify-bound", "--order", "2", "--margin=-1e-2"],
                                   ["gain", "--tol", "0"], ["gain", "--tol=-1"],
-                                  ["gain", "--tol", "nan"]])
+                                  ["gain", "--tol", "nan"],
+                                  ["grammians", "--margin", "inf"],
+                                  ["grammians", "--grammians", "averaged", "--margin", "inf"],
+                                  ["gain", "--tol", "inf"]])
 def test_negative_or_nan_margin_and_tol_exit_one(dt4_path, argv, capsys):
-    # a negative margin accepts a pair outside the grammian set, and a
-    # nonpositive tol can never settle the gain solve
+    # a negative margin accepts a pair outside the grammian set, a
+    # nonpositive tol can never settle the gain solve, and an infinite one
+    # stops it at the first feasible sweep; the error names the flag
     assert main(argv + ["--model", dt4_path]) == 1
-    assert "error:" in capsys.readouterr().err
+    flag = "tol" if argv[0] == "gain" else "margin"
+    assert f"error: {flag} must be" in capsys.readouterr().err
 
 
 def test_margin_that_no_route_reads_exits_one(dt_two_mode_path, example1_path,
@@ -424,3 +429,33 @@ def test_margin_that_no_route_reads_exits_one(dt_two_mode_path, example1_path,
     assert main(["reduce", "--model", example1_path, "--order", "2",
                  "--pair-file", lambda_pair_path, "--margin", "0.3"]) == 1
     assert "no margin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["reduce", "--bound=-1"], ["reduce", "--bound", "nan"],
+                                  ["verify-bound", "--bound=-1"], ["verify-bound", "--bound", "nan"]])
+def test_negative_or_nan_bound_exits_one(example1_path, lambda_pair_path, argv, capsys):
+    # such a budget used to keep every state and report apriori_bound 0.0
+    assert main(argv + ["--model", example1_path, "--pair-file", lambda_pair_path]) == 1
+    assert "error: bound budget must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain, argv", [
+    ("ct", ["simulate", "--horizon", "inf"]),
+    ("dt", ["simulate", "--horizon", "inf"]),
+    ("ct", ["simulate", "--step", "0"]),
+    ("ct", ["simulate", "--step", "0", "--horizon", "1"]),
+    ("ct", ["verify-bound", "--order", "1", "--step", "0"]),
+    ("dt", ["verify-bound", "--grammians", "nice", "--order", "1", "--horizon", "inf"]),
+    ("dt", ["embed", "--trials", "5", "--horizon", "inf"]),
+])
+def test_infinite_horizon_or_zero_step_exits_one(example1_path, dt_two_mode_path, domain, argv,
+                                                 capsys):
+    # each of these used to raise OverflowError or ZeroDivisionError out of main
+    path = example1_path if domain == "ct" else dt_two_mode_path
+    assert main(argv + ["--model", path]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_negative_step_is_named(example1_path, capsys):
+    assert main(["simulate", "--model", example1_path, "--step=-0.01", "--horizon", "1"]) == 1
+    assert "positive step h, got -0.01" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from lssbalred import (
 from lssbalred.balred import balance, truncate
 from lssbalred.embeddings import MC_CHUNK, feasible_block_pair
 from lssbalred.model import pad_with_dead_states
-from lssbalred.simulate import _dt_run_batch
+from lssbalred.simulate import _dt_run_batch, empirical_gain
 from conftest import scalar_model, scalar_two_mode
 from residual_oracles import averaged_residuals, exhaustive_stochastic_energy, markov_match
 
@@ -148,6 +148,20 @@ class TestStochasticEmbedding:
     def test_rejects_horizon_shorter_than_one_step(self, dt_two_mode, horizon):
         with pytest.raises(ValueError, match="shorter than one step"):
             monte_carlo_stochastic_energy(dt_two_mode, np.ones(5), 100, horizon, seed=0)
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_rejects_a_horizon_that_is_not_finite(self, dt_two_mode, horizon):
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            monte_carlo_stochastic_energy(dt_two_mode, np.ones(5), 100, horizon, seed=0)
+
+    def test_float_horizon_counts_steps_like_empirical_gain(self, dt_two_mode):
+        # empirical_gain runs int(horizon) steps; so does the Monte Carlo estimate
+        u = np.linspace(1.0, 0.0, 12)
+        ten = monte_carlo_stochastic_energy(dt_two_mode, u, 100, 10, seed=5)
+        for horizon in (10.0, 10.7):
+            assert monte_carlo_stochastic_energy(dt_two_mode, u, 100, horizon, seed=5) == ten
+            assert (empirical_gain(dt_two_mode, 5, horizon, seed=1).lower_bound
+                    == empirical_gain(dt_two_mode, 5, 10, seed=1).lower_bound)
 
     def test_one_dimensional_input_is_one_column(self, dt_two_mode):
         u = np.linspace(1.0, 0.0, 6)

@@ -9,12 +9,19 @@ from lssbalred import (
     ModelFormatError,
     SwitchingSignal,
     apply_isomorphism,
+    averaged_grammians,
+    build_uncertain_embedding,
+    check_beck_grammian_projection,
     dual_system,
     dumps_model,
+    family_system,
     loads_model,
+    nice_grammians,
     random_stable_model,
+    stochastic_embedding,
     validate_model,
 )
+from lssbalred.embeddings import feasible_block_pair
 from lssbalred.model import difference_system, pad_with_dead_states
 from lssbalred.realization import markov_parameter
 from lssbalred.stability import check_strong_stability
@@ -207,3 +214,24 @@ def test_markov_parameter_shape():
     model = random_stable_model("discrete", 3, 2, m=2, p=1, seed=9)
     M = markov_parameter(model, (0, 1))
     assert M.shape == (1 * 2, 2 * 2)
+
+
+DISCRETE_ONLY = {
+    "nice_grammians": nice_grammians,
+    "averaged_grammians": averaged_grammians,
+    "family_system Csum": lambda model: family_system(model, "Csum"),
+    "family_system Osum": lambda model: family_system(model, "Osum"),
+    "check_strong_stability": check_strong_stability,
+    "build_uncertain_embedding": build_uncertain_embedding,
+    "stochastic_embedding": stochastic_embedding,
+    "feasible_block_pair": feasible_block_pair,
+    "check_beck_grammian_projection":
+        lambda model: check_beck_grammian_projection(model, [np.eye(3)] * 2, [np.eye(3)] * 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DISCRETE_ONLY))
+def test_discrete_only_entry_points_share_one_error(example1, entry):
+    with pytest.raises(ValueError) as exc:
+        DISCRETE_ONLY[entry](example1)
+    assert str(exc.value) == "defined for discrete-time models only, got a continuous model"

@@ -301,32 +301,52 @@ class TestEmptyRuns:
 
     NO_TRIAL = "at least one trial"
     NO_STEP = "shorter than one step"
+    INFINITE = "not a finite number of steps"
+    BAD_STEP = "finite positive step"
 
     @pytest.mark.parametrize("trials, horizon, error",
-                             [(0, 10.0, NO_TRIAL), (5, 0.0, NO_STEP), (5, 0.004, NO_STEP)])
+                             [(0, 10.0, NO_TRIAL), (5, 0.0, NO_STEP), (5, 0.004, NO_STEP),
+                              (5, np.inf, INFINITE)])
     def test_verify_error_bound(self, example1, example1_lambda, trials, horizon, error):
         pair = GrammianPair(example1_lambda, example1_lambda, "manual")
         res = reduce_model(example1, order=2, pair=pair)
         with pytest.raises(ValueError, match=error):
             verify_error_bound(example1, res, trials=trials, horizon=horizon, seed=1, h=0.01)
 
-    @pytest.mark.parametrize("trials, horizon, error", [(0, 50, NO_TRIAL), (5, 0, NO_STEP)])
+    @pytest.mark.parametrize("trials, horizon, error",
+                             [(0, 50, NO_TRIAL), (5, 0, NO_STEP), (5, np.inf, INFINITE)])
     def test_empirical_gain(self, dt_scalar, trials, horizon, error):
         with pytest.raises(ValueError, match=error):
             empirical_gain(dt_scalar, trials, horizon, seed=1)
 
     @pytest.mark.parametrize("trials, horizon, h, error", [
         (0, 5.0, 0.1, NO_TRIAL), (5, 0.0, 0.1, NO_STEP), (5, 5.0, None, "positive step"),
+        (5, np.inf, 0.1, INFINITE), (5, 5.0, np.nan, BAD_STEP), (5, 5.0, np.inf, BAD_STEP),
     ])
     def test_empirical_hankel_gain(self, ct_scalar, trials, horizon, h, error):
         with pytest.raises(ValueError, match=error):
             empirical_hankel_gain(ct_scalar, trials, horizon, seed=1, h=h)
 
-    @pytest.mark.parametrize("trials, horizon, error", [(0, 50, NO_TRIAL), (5, 0, NO_STEP)])
+    @pytest.mark.parametrize("trials, horizon, error",
+                             [(0, 50, NO_TRIAL), (5, 0, NO_STEP), (5, np.inf, INFINITE)])
     def test_check_energy_lemmas(self, dt_scalar, trials, horizon, error):
         pair = GrammianPair(np.array([[4.0 / 3.0]]), np.array([[4.0 / 3.0]]), "manual")
         with pytest.raises(ValueError, match=error):
             check_energy_lemmas(dt_scalar, pair, trials=trials, seed=1, horizon=horizon)
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+    def test_random_switching_and_decay_horizon_name_a_bad_step(self, ct_scalar, h):
+        # these used to divide by zero, fail to round NaN, or return an
+        # empty signal or a negative horizon
+        with pytest.raises(ValueError, match=self.BAD_STEP):
+            random_switching(1, "continuous", np.random.default_rng(0), 5.0, h=h)
+        with pytest.raises(ValueError, match=self.BAD_STEP):
+            decay_horizon(ct_scalar, check_quadratic_stability(ct_scalar), h=h)
+
+    @pytest.mark.parametrize("time_domain, h", [("discrete", None), ("continuous", 0.1)])
+    def test_random_switching_rejects_an_infinite_horizon(self, time_domain, h):
+        with pytest.raises(ValueError, match=self.INFINITE):
+            random_switching(2, time_domain, np.random.default_rng(0), np.inf, h=h)
 
 
 class TestDecayHorizon:
