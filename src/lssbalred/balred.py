@@ -121,34 +121,39 @@ def truncate(bal, r, force_ties=False):
     return ReductionResult(reduced, r, sigmas.copy(), bound, bal, strict)
 
 
-def compute_pair(model, source="lmi", tighten=True, margin=None):
+def compute_pair(model, source="lmi", tighten=True):
     """Grammian pair from one of GRAMMIAN_SOURCES: "lmi" (default,
     trace-tightened LMI solves), "nice" (exact mode-summed Stein solves) or
     "averaged" (nice plus a strict margin); the last two need a strongly
-    stable discrete-time model and reject `tighten`, and "nice" a margin."""
+    stable discrete-time model and reject `tighten`.  Each route works out
+    its own margin from the model."""
     if source == "lmi":
-        P = lmi_grammian(model, CONTROLLABILITY, tighten=tighten, margin=margin)
-        Q = lmi_grammian(model, OBSERVABILITY, tighten=tighten, margin=margin)
+        P = lmi_grammian(model, CONTROLLABILITY, tighten=tighten)
+        Q = lmi_grammian(model, OBSERVABILITY, tighten=tighten)
         return GrammianPair(P, Q, "lmi")
     if not tighten:
         raise ValueError(f"only lmi grammians take tighten, not {source!r} grammians")
     if source == "nice":
-        if margin is not None:
-            raise ValueError("nice grammians take no margin")
         return nice_grammians(model)
     if source == "averaged":
-        return averaged_grammians(model, margin=margin)
+        return averaged_grammians(model)
     raise ValueError(f"unknown grammian source {source!r}")
+
+
+def check_target(order, bound_budget):
+    """The one rule for a reduction target: exactly one of `order` and
+    `bound_budget`, and a budget >= 0."""
+    if (order is None) == (bound_budget is None):
+        raise ValueError("specify exactly one of order or bound_budget")
+    if bound_budget is not None and not bound_budget >= 0:
+        raise ValueError(f"bound budget must be >= 0, got {bound_budget}")
 
 
 def reduce_model(model, pair, order=None, bound_budget=None, force_ties=False):
     """Balance `model` by the grammian `pair` and keep `order` states, or the
     fewest among admissible_orders and n whose bound 2 * tail sum meets
-    `bound_budget` >= 0; exactly one of the two must be given."""
-    if (order is None) == (bound_budget is None):
-        raise ValueError("specify exactly one of order or bound_budget")
-    if bound_budget is not None and not bound_budget >= 0:
-        raise ValueError(f"bound budget must be >= 0, got {bound_budget}")
+    `bound_budget`; see check_target."""
+    check_target(order, bound_budget)
     if not pair.P_ctrl.shape == pair.Q_obs.shape == (model.n, model.n):
         raise ValueError("supplied grammian pair does not match the model being balanced")
     bal = balance(model, pair)

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .balred import GRAMMIAN_SOURCES, compute_pair, reduce_model
+from .balred import GRAMMIAN_SOURCES, check_target, compute_pair, reduce_model
 from .embeddings import build_uncertain_embedding, check_uncertain_minimality_equivalence
 from .errors import InfeasibleError, LssError, ModelFormatError
 from .gain import l2_gain_upper_bound
@@ -120,7 +120,7 @@ def cmd_check(args, model):
 
 
 def cmd_grammians(args, model):
-    pair = compute_pair(model, source=args.grammians, margin=args.margin)
+    pair = compute_pair(model, source=args.grammians)
     ctrl = check_membership(model, pair.P_ctrl, "C")
     obs = check_membership(model, pair.Q_obs, "O")
     result = {
@@ -138,11 +138,9 @@ def cmd_grammians(args, model):
 
 def _reduce(args, model):
     """The reduce and verify-bound pipeline: minimize on --minimize-first,
-    carrying a --pair-file pair along, else compute the pair; then reduce."""
-    if (args.order is None) == (args.bound is None):
-        raise ValueError("specify exactly one of --order or --bound")
-    if args.pair_file and args.margin is not None:
-        raise ValueError("a supplied grammian pair takes no margin")
+    carrying a --pair-file pair along, else compute the pair; then reduce.
+    The target is checked first, so a bad one costs no solve."""
+    check_target(args.order, args.bound)
     pair = _load_pair(args.pair_file, model.n) if args.pair_file else None
     if args.minimize_first and pair:
         model, P, Q = minimize_with_pair(model, pair.P_ctrl, pair.Q_obs)
@@ -151,7 +149,7 @@ def _reduce(args, model):
         model = minimize(model)
     if model.n == 0:
         raise ValueError("model minimized to order zero; nothing to reduce")
-    pair = pair or compute_pair(model, source=args.grammians, margin=args.margin)
+    pair = pair or compute_pair(model, source=args.grammians)
     return reduce_model(model, pair, order=args.order, bound_budget=args.bound,
                         force_ties=args.force_ties)
 
@@ -269,7 +267,6 @@ FLAGS = {
     "grammians": dict(default="lmi", choices=GRAMMIAN_SOURCES),
     "minimize_first": dict(action="store_true"),
     "force_ties": dict(action="store_true"),
-    "margin": dict(type=float, default=None),
     "tol": dict(type=float, default=1e-3),
     "trials": dict(type=int, default=0),
     "horizon": dict(type=float, default=None),
@@ -283,13 +280,13 @@ FLAGS = {
 # report's config records exactly these.
 COMMANDS = {
     "check": (cmd_check, []),
-    "grammians": (cmd_grammians, ["margin", "grammians"]),
-    "reduce": (cmd_reduce, ["margin", "grammians", "order", "bound",
-                            "minimize_first", "force_ties", "pair_file"]),
+    "grammians": (cmd_grammians, ["grammians"]),
+    "reduce": (cmd_reduce, ["grammians", "order", "bound", "minimize_first",
+                            "force_ties", "pair_file"]),
     "gain": (cmd_gain, ["tol"]),
     "simulate": (cmd_simulate, ["seed", "horizon", "step", "csv"]),
-    "verify-bound": (cmd_verify_bound, ["seed", "margin", "grammians", "order",
-                                        "bound", "trials", "horizon", "step",
+    "verify-bound": (cmd_verify_bound, ["seed", "grammians", "order", "bound",
+                                        "trials", "horizon", "step",
                                         "minimize_first", "force_ties", "pair_file"]),
     "embed": (cmd_embed, ["seed", "trials", "horizon"]),
 }

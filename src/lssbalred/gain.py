@@ -29,8 +29,6 @@ from .stability import check_quadratic_stability
 def gamma_feasible(model, gamma, start=None):
     """The "G" certificate at gamma, re-verified at the solver's P, or None
     if the solver found nothing within budget."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     result = solve_feasibility(family_system(model, "G", gamma), start=start)
     if not result.feasible:
         return None

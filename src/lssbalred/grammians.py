@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import chol_pd, min_eig, require_symmetric, stein_solve, symmetrize
 from .errors import InfeasibleError
-from .lmi import check_membership, checked_margin, family_system, solve_feasibility, tighten_trace
+from .lmi import check_membership, family_system, solve_feasibility, tighten_trace
 from .stability import require_strong_stability
 
 CONTROLLABILITY = "controllability"
@@ -51,18 +51,18 @@ class SingularValues:
 _FAMILY = {CONTROLLABILITY: "C", OBSERVABILITY: "O"}
 
 
-def lmi_grammian(model, kind, tighten=True, margin=None):
+def lmi_grammian(model, kind, tighten=True):
     """Grammian via the LMI solver: one feasibility solve, then by default
     one min tr P solve warm-started from it."""
     if kind not in _FAMILY:
         raise ValueError(f"unknown grammian kind {kind!r}")
     sys = family_system(model, _FAMILY[kind])
-    result = solve_feasibility(sys, margin=margin)
+    result = solve_feasibility(sys)
     if not result.feasible:
         raise InfeasibleError(f"no {kind} grammian found within budget")
     G = result.solution
     if tighten:
-        G = tighten_trace(sys, G, margin=margin)
+        G = tighten_trace(sys, G)
     return G
 
 
@@ -97,18 +97,19 @@ def nice_grammians(model):
 # ---------------------------------------------------------------------------
 
 
-def averaged_grammians(model, margin=None):
+def averaged_grammians(model):
     """Strict-margin solutions of the mode-summed grammian inequalities (the
     sets Csum and Osum of :func:`lssbalred.lmi.family_system`).  Each is a
     plain grammian as well: the per-mode residual is dominated by the sum.
 
     The pair solves the Stein equations of :func:`nice_grammians` with
-    c I added to both right-hand sides, so both summed residuals are
-    exactly -c I.  Strict feasibility of the summed family is equivalent to
-    strong stability, so any other model raises InfeasibleError.
+    c I added to both right-hand sides, c = 2e-7 * max(1, max |A_q|)^2 but
+    at least 1e-9, so both summed residuals are exactly -c I.  Strict
+    feasibility of the summed family is equivalent to strong stability, so
+    any other model raises InfeasibleError.
     """
     scale = max(float(np.max(np.abs(A))) for A in model.A)
-    c = max(checked_margin(margin, 1e-7 * max(1.0, scale) ** 2) * 2.0, 1e-9)
+    c = max(1e-7 * max(1.0, scale) ** 2 * 2.0, 1e-9)
     cI = c * np.eye(model.n)
     GB, GC = model.gram_sums()
     return _summed_pair(model, GB + cI, GC + cI, "averaged")

@@ -7,10 +7,11 @@ same shape of problem: find a symmetric P with
     P      >=  margin * I,
 
 where each F_i is an affine map from symmetric n x n matrices to symmetric
-k_i x k_i matrices.  Every constraint family of a switched model (stability,
-grammian, gain and mode-summed sets) is written once, by
-:func:`family_system`; the solver and the membership checks both evaluate
-those blocks.  The solver runs Douglas-Rachford splitting between the
+k_i x k_i matrices, and the margin is MARGIN_SCALE_FACTOR times the data
+scale: the solver works it out from the system.  Every constraint family of
+a switched model (stability, grammian, gain and mode-summed sets) is written
+once, by :func:`family_system`; the solver and the membership checks both
+evaluate those blocks.  The solver runs Douglas-Rachford splitting between the
 affine graph {(P, F_1(P), ..., F_m(P))} and the product of shifted
 semidefinite cones.  Compiling a system evaluates every block once on the
 stacked symmetric basis, precomputes the graph projector and groups the
@@ -105,7 +106,8 @@ class AffineLmiSystem:
 
 def family_system(model, family, gamma=None):
     """The constraint family `family` of a switched model as an affine LMI
-    system; M belongs to the set when every block at M is <= 0.
+    system; M belongs to the set when every block at M is <= 0.  The gain
+    set "G" needs a finite gamma > 0.
 
     Per mode (continuous | discrete):
 
@@ -131,8 +133,8 @@ def family_system(model, family, gamma=None):
             terms, const = [LmiTerm(A.T, A) for A in model.A], GC
         terms.append(LmiTerm(-I, I))
         return AffineLmiSystem(n, (LmiBlock(np.asarray(const, dtype=float), tuple(terms)),))
-    if family == "G" and gamma is None:
-        raise ValueError("gamma is required for the gain set")
+    if family == "G" and not (gamma is not None and 0 < gamma < np.inf):
+        raise ValueError(f"the gain set needs a finite gamma > 0, got {gamma}")
     if family not in ("S", "O", "C", "G"):
         raise ValueError(f"unknown set {family!r}")
     blocks = tuple(_mode_block(family, A, B, C, gamma, model.is_discrete)
@@ -298,19 +300,11 @@ class _CompiledSystem:
         return [v[gather] / divisor for gather, divisor, _, _ in self.cones]
 
 
-def checked_margin(margin, default):
-    """`default` if `margin` is None, else `margin`: the one check that it is finite and >= 0."""
-    if margin is None:
-        return default
-    if not 0 <= margin < np.inf:
-        raise ValueError(f"margin must be finite and >= 0, got {margin}")
-    return margin
-
-
-def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
+def solve_feasibility(sys, budget=None, start=None, callback=None,
                       objective=None, settle=1e-5):
-    """Search for P > 0 satisfying every block of `sys` with the given margin,
-    minimising <objective, P> if a symmetric weight `objective` is given.
+    """Search for P > 0 satisfying every block of `sys` with margin
+    MARGIN_SCALE_FACTOR * data_scale, minimising <objective, P> if a
+    symmetric weight `objective` is given.
 
     Douglas-Rachford splitting between the affine graph
     {(P, F_1(P), ..., F_m(P))} and the product of shifted semidefinite cones;
@@ -334,7 +328,7 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
     scale = sys.data_scale()
     if budget is None:
         budget = DEFAULT_BUDGET if objective is None else OBJECTIVE_BUDGET
-    margin = checked_margin(margin, MARGIN_SCALE_FACTOR * scale)
+    margin = MARGIN_SCALE_FACTOR * scale
     # Project onto slightly deeper cones so that acceptance at `margin`
     # triggers at a finite iterate.
     gap = max(10.0 * margin, 1e-6 * scale)
@@ -404,12 +398,12 @@ def solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
     return FeasibilityResult("infeasible_within_budget", None, res, iterations, margin)
 
 
-def tighten_trace(sys, seed_solution, margin=None):
-    """The smallest-trace point of `sys` found by one min tr P solve,
-    warm-started from a feasible `seed_solution`; the seed itself if the
-    solve finds nothing of smaller trace."""
+def tighten_trace(sys, seed_solution):
+    """The smallest-trace point of `sys` found by one min tr P solve at the
+    solver's own margin, warm-started from a feasible `seed_solution`; the
+    seed itself if the solve finds nothing of smaller trace."""
     seed_solution = require_symmetric(seed_solution, what="seed solution")
-    result = solve_feasibility(sys, margin=margin, start=seed_solution, objective=np.eye(sys.n))
+    result = solve_feasibility(sys, start=seed_solution, objective=np.eye(sys.n))
     if result.feasible and np.trace(result.solution) < np.trace(seed_solution):
         return result.solution
     return seed_solution

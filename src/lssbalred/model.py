@@ -97,8 +97,8 @@ class SwitchingSignal:
         if self.time_domain == CONTINUOUS:
             if len(self.dwells) != len(self.modes):
                 raise ValueError("dwell list must match mode list")
-            if any(d <= 0 for d in self.dwells):
-                raise ValueError("dwell times must be strictly positive")
+            if not all(0 < d < np.inf for d in self.dwells):
+                raise ValueError("dwell times must be finite and strictly positive")
         elif self.dwells:
             raise ValueError("discrete switching signals carry no dwell times")
 

@@ -179,7 +179,7 @@ def _clip_spectrum(M, floor=None, ceiling=None):
     return (V * w) @ V.T
 
 
-def per_cone_solve_feasibility(sys, budget=None, margin=None, start=None, callback=None,
+def per_cone_solve_feasibility(sys, budget=None, start=None, callback=None,
                                objective=None, settle=1e-5):
     """:func:`lssbalred.lmi.solve_feasibility` with each cone unpacked,
     eigen-decomposed and packed on its own: the same projector, margins,
@@ -188,8 +188,7 @@ def per_cone_solve_feasibility(sys, budget=None, margin=None, start=None, callba
     scale = sys.data_scale()
     if budget is None:
         budget = DEFAULT_BUDGET if objective is None else OBJECTIVE_BUDGET
-    if margin is None:
-        margin = MARGIN_SCALE_FACTOR * scale
+    margin = MARGIN_SCALE_FACTOR * scale
     gap = max(10.0 * margin, 1e-6 * scale)
     deep = margin + gap
 

@@ -241,11 +241,15 @@ def test_reports_are_deterministic_except_timestamp(example1_path, lambda_pair_p
 
 @pytest.mark.parametrize("argv", [["check", "--seed", "1"], ["grammians", "--seed", "1"],
                                   ["reduce", "--order", "2", "--seed", "1"],
-                                  ["gain", "--seed", "1"], ["check", "--margin", "1e-3"]])
-def test_flags_that_change_no_answer_exit_one(example1_path, argv):
-    # these commands draw no random numbers, and a margin only rescales a
-    # stability certificate, so neither flag is accepted
+                                  ["gain", "--seed", "1"], ["check", "--margin", "1e-3"],
+                                  ["grammians", "--margin", "1e-3"],
+                                  ["reduce", "--order", "2", "--margin", "1e-3"],
+                                  ["verify-bound", "--order", "2", "--margin", "1e-3"]])
+def test_flags_that_change_no_answer_exit_one(example1_path, argv, capsys):
+    # these commands draw no random numbers, and every solver works out its
+    # own margin from the data, so neither flag is accepted
     assert main(argv + ["--model", example1_path]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_reduced_model_in_report_round_trips(example1_path, lambda_pair_path, tmp_path):
@@ -280,9 +284,9 @@ def test_reports_validate_against_shipped_schema(example1_path, dt_unstable_path
 
 
 # A value each flag accepts, so that a rejection can only come from the flag.
-FLAG_VALUES = {"order": "1", "bound": "1.0", "grammians": "nice", "margin": "1e-6",
-               "tol": "1e-3", "trials": "2", "horizon": "10", "step": "0.01", "seed": "1",
-               "csv": "traj.csv", "pair_file": "pair.json"}
+FLAG_VALUES = {"order": "1", "bound": "1.0", "grammians": "nice", "tol": "1e-3", "trials": "2",
+               "horizon": "10", "step": "0.01", "seed": "1", "csv": "traj.csv",
+               "pair_file": "pair.json"}
 
 
 def _flag_argv(flag):
@@ -403,32 +407,13 @@ def dt4_path(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("argv", [["grammians", "--margin=-1e-3"],
-                                  ["grammians", "--margin", "nan"],
-                                  ["grammians", "--grammians", "averaged", "--margin=-1e-3"],
-                                  ["verify-bound", "--order", "2", "--margin=-1e-2"],
-                                  ["gain", "--tol", "0"], ["gain", "--tol=-1"],
-                                  ["gain", "--tol", "nan"],
-                                  ["grammians", "--margin", "inf"],
-                                  ["grammians", "--grammians", "averaged", "--margin", "inf"],
-                                  ["gain", "--tol", "inf"]])
-def test_negative_or_nan_margin_and_tol_exit_one(dt4_path, argv, capsys):
-    # a negative margin accepts a pair outside the grammian set, a
-    # nonpositive tol can never settle the gain solve, and an infinite one
+@pytest.mark.parametrize("argv", [["gain", "--tol", "0"], ["gain", "--tol=-1"],
+                                  ["gain", "--tol", "nan"], ["gain", "--tol", "inf"]])
+def test_nonpositive_nan_or_infinite_tol_exit_one(dt4_path, argv, capsys):
+    # a nonpositive tol can never settle the gain solve, and an infinite one
     # stops it at the first feasible sweep; the error names the flag
     assert main(argv + ["--model", dt4_path]) == 1
-    flag = "tol" if argv[0] == "gain" else "margin"
-    assert f"error: {flag} must be" in capsys.readouterr().err
-
-
-def test_margin_that_no_route_reads_exits_one(dt_two_mode_path, example1_path,
-                                              lambda_pair_path, capsys):
-    assert main(["grammians", "--model", dt_two_mode_path, "--grammians", "nice",
-                 "--margin", "0.3"]) == 1
-    assert "no margin" in capsys.readouterr().err
-    assert main(["reduce", "--model", example1_path, "--order", "2",
-                 "--pair-file", lambda_pair_path, "--margin", "0.3"]) == 1
-    assert "no margin" in capsys.readouterr().err
+    assert "error: tol must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["reduce", "--bound=-1"], ["reduce", "--bound", "nan"],
@@ -436,6 +421,17 @@ def test_margin_that_no_route_reads_exits_one(dt_two_mode_path, example1_path,
 def test_negative_or_nan_bound_exits_one(example1_path, lambda_pair_path, argv, capsys):
     # such a budget used to keep every state and report apriori_bound 0.0
     assert main(argv + ["--model", example1_path, "--pair-file", lambda_pair_path]) == 1
+    assert "error: bound budget must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["reduce", "--bound=-1"], ["verify-bound", "--bound", "nan"]])
+def test_bad_bound_exits_one_before_any_solve(example1_path, argv, monkeypatch, capsys):
+    # the target is checked before the grammian pair is computed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("compute_pair was called")
+
+    monkeypatch.setattr("lssbalred.cli.compute_pair", no_solve)
+    assert main(argv + ["--model", example1_path]) == 1
     assert "error: bound budget must be >= 0" in capsys.readouterr().err
 
 

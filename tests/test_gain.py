@@ -36,9 +36,11 @@ class TestGammaFeasible:
         assert cert is not None
         assert all(r < 0 for r in cert.residuals)
 
-    def test_rejects_nonpositive_gamma(self, ct_scalar):
-        with pytest.raises(ValueError):
-            gamma_feasible(ct_scalar, 0.0)
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_nonpositive_gamma(self, ct_scalar, gamma):
+        # NaN passes a `gamma <= 0` test; every bad gamma is named before the solve
+        with pytest.raises(ValueError, match="gamma"):
+            gamma_feasible(ct_scalar, gamma)
 
 
 class TestBisection:

@@ -54,9 +54,10 @@ class TestMembership:
         assert not rep.member()
         assert rep.worst == pytest.approx(1.25, abs=1e-12)
 
-    def test_gain_set_requires_gamma(self, example1):
+    @pytest.mark.parametrize("gamma", [None, float("nan")])
+    def test_gain_set_requires_gamma(self, example1, gamma):
         with pytest.raises(ValueError, match="gamma"):
-            check_membership(example1, np.eye(3), "G")
+            check_membership(example1, np.eye(3), "G", gamma)
 
 
 class TestLmiGrammian:
@@ -195,26 +196,18 @@ class TestAveraged:
         assert check_membership(model, pair.P_ctrl, "C").worst < 0
         assert check_membership(model, pair.Q_obs, "O").worst < 0
 
-    def test_compute_pair_passes_margin(self):
+    def test_compute_pair_uses_the_computed_margin(self):
         model = random_stable_model("discrete", 3, 2, kind="strong", seed=9)
-        pair = compute_pair(model, "averaged", margin=1e-2)
-        ref = averaged_grammians(model, margin=1e-2)
+        pair = compute_pair(model, "averaged")
+        ref = averaged_grammians(model)
         np.testing.assert_array_equal(pair.P_ctrl, ref.P_ctrl)
         np.testing.assert_array_equal(pair.Q_obs, ref.Q_obs)
-        # the strict margin c = 2 * margin makes both summed residuals -c I
+        # the strict margin c, worked out from the largest entry of the A_q,
+        # makes both summed residuals -c I
+        scale = max(float(np.max(np.abs(A))) for A in model.A)
+        c = max(1e-7 * max(1.0, scale) ** 2 * 2.0, 1e-9)
         for R in averaged_residuals(model, pair.P_ctrl, pair.Q_obs):
-            assert np.max(np.abs(R + 2e-2 * np.eye(3))) <= 1e-10 * 2e-2
-
-    @pytest.mark.parametrize("margin", [-1e-3, float("nan")])
-    def test_rejects_negative_or_nan_margin(self, margin):
-        model = random_stable_model("discrete", 3, 2, kind="strong", seed=9)
-        with pytest.raises(ValueError, match="margin"):
-            averaged_grammians(model, margin=margin)
-
-    def test_nice_route_rejects_a_margin(self):
-        model = random_stable_model("discrete", 3, 2, kind="strong", seed=9)
-        with pytest.raises(ValueError, match="no margin"):
-            compute_pair(model, "nice", margin=0.3)
+            assert np.max(np.abs(R + c * np.eye(3))) <= 1e-5 * c
 
     @pytest.mark.parametrize("source", ["nice", "averaged"])
     def test_untightened_routes_reject_tighten(self, source):

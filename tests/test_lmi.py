@@ -19,7 +19,7 @@ from lssbalred import (
     tighten_trace,
 )
 from lssbalred._linalg import svec, svec_dim, sym_basis, symmetrize
-from lssbalred.lmi import _CompiledSystem, lifted_gain_system
+from lssbalred.lmi import MARGIN_SCALE_FACTOR, _CompiledSystem, lifted_gain_system
 from residual_oracles import (
     family_residuals,
     per_cone_solve_feasibility,
@@ -134,20 +134,15 @@ class TestSolveFeasibility:
         assert result.status == "infeasible_within_budget"
         assert result.solution is None
 
-    @pytest.mark.parametrize("margin", [-1e-3, float("nan")])
-    def test_rejects_negative_or_nan_margin(self, margin):
-        sys = AffineLmiSystem(1, (stein_block(np.array([[0.5]])),))
-        with pytest.raises(ValueError, match="margin"):
-            solve_feasibility(sys, margin=margin)
-
     def test_scalar_lyapunov_with_output(self):
-        # -2P + 1 <= -margin  <=>  P >= (1 + margin) / 2
+        # -2P + 1 <= -margin  <=>  P >= (1 + margin) / 2; the data scale is 1
         sys = AffineLmiSystem(1, (lyapunov_obs_block(np.array([[-1.0]]), np.array([[1.0]])),))
-        result = solve_feasibility(sys, margin=1e-6)
+        result = solve_feasibility(sys)
         assert result.feasible
+        assert result.margin == MARGIN_SCALE_FACTOR
         P = float(result.solution[0, 0])
         assert P >= 0.5
-        assert -2.0 * P + 1.0 <= -1e-6
+        assert -2.0 * P + 1.0 <= -result.margin
 
     @pytest.mark.parametrize("bad", [
         # L P R with L != R^T
@@ -198,7 +193,7 @@ class TestSolveFeasibility:
 class TestTightenTrace:
     def test_scalar_approaches_half(self):
         sys = AffineLmiSystem(1, (lyapunov_obs_block(np.array([[-1.0]]), np.array([[1.0]])),))
-        out = tighten_trace(sys, np.array([[5.0]]), margin=1e-6)
+        out = tighten_trace(sys, np.array([[5.0]]))
         assert 0.5 <= float(out[0, 0]) <= 0.55
 
     def test_scalar_reaches_the_minimal_trace(self):
@@ -209,8 +204,9 @@ class TestTightenTrace:
 
     def test_trace_minimal_seed_is_kept(self):
         sys = AffineLmiSystem(1, (lyapunov_obs_block(np.array([[-1.0]]), np.array([[1.0]])),))
-        seed = np.array([[0.5000006]])
-        out = tighten_trace(sys, seed, margin=1e-6)
+        # just above the least feasible P = (1 + margin) / 2 at margin 1e-7
+        seed = np.array([[0.5000001]])
+        out = tighten_trace(sys, seed)
         assert float(np.trace(out)) <= float(np.trace(seed)) + 1e-12
 
     def test_example1_observability_trace_decreases(self, example1, example1_lambda):

@@ -159,9 +159,11 @@ class TestSwitchingSignal:
         with pytest.raises(ValueError):
             SwitchingSignal("discrete", ())
 
-    def test_rejects_nonpositive_dwell(self):
-        with pytest.raises(ValueError):
-            SwitchingSignal("continuous", (0,), (0.0,))
+    @pytest.mark.parametrize("dwell", [0.0, float("nan"), float("inf")])
+    def test_rejects_nonpositive_dwell(self, dwell):
+        # named here, not later in simulate as a bad horizon
+        with pytest.raises(ValueError, match="dwell"):
+            SwitchingSignal("continuous", (0,), (dwell,))
 
     def test_rejects_out_of_range_mode(self, example1):
         sig = SwitchingSignal("discrete", (0, 1))

@@ -1,6 +1,7 @@
 """The benchmark's trace mode wraps library functions by name; every name it
 wraps must still exist, or `perfbench/run.py --trace 1` dies on start.  Its
-checks unpack library results; their shapes must still match."""
+checks unpack library results; their shapes must still match.  The README's
+Python example and CLI flag table must match the code as well."""
 
 import importlib
 import importlib.util
@@ -16,6 +17,7 @@ from lssbalred import (
     reduce_model,
     verify_error_bound,
 )
+from lssbalred.cli import COMMANDS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -69,3 +71,17 @@ def test_readme_python_example_runs():
     text = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```python\n(.*?)```", text, re.S)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_flag_table_matches_the_cli():
+    """Each row of the README's `| Command | Flags |` table lists exactly the
+    flags its subcommand takes, in order, so a flag added to or deleted from
+    the CLI fails here rather than leaving the docs stale."""
+    text = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("| Command | Flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        _, name, flags, _ = line.split("|")
+        flags = re.findall(r"`--([a-z-]+)", flags)
+        rows[name.strip().strip("`")] = [f.replace("-", "_") for f in flags]
+    assert rows == {name: flags for name, (_, flags) in COMMANDS.items()}
