@@ -142,9 +142,11 @@ def compute_pair(model, source="lmi", tighten=True):
 
 def check_target(order, bound_budget):
     """The one rule for a reduction target: exactly one of `order` and
-    `bound_budget`, and a budget >= 0."""
+    `bound_budget`, an integer order and a budget >= 0."""
     if (order is None) == (bound_budget is None):
         raise ValueError("specify exactly one of order or bound_budget")
+    if order is not None and not isinstance(order, (int, np.integer)):
+        raise ValueError(f"retained order must be an integer, got {order!r}")
     if bound_budget is not None and not bound_budget >= 0:
         raise ValueError(f"bound budget must be >= 0, got {bound_budget}")
 

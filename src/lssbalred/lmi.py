@@ -37,7 +37,7 @@ from ._linalg import (
     sym_basis,
     symmetrize,
 )
-from .model import require_discrete
+from .model import dual_system, require_discrete
 
 DEFAULT_BUDGET = 5000
 OBJECTIVE_BUDGET = 20000
@@ -107,7 +107,7 @@ class AffineLmiSystem:
 def family_system(model, family, gamma=None):
     """The constraint family `family` of a switched model as an affine LMI
     system; M belongs to the set when every block at M is <= 0.  The gain
-    set "G" needs a finite gamma > 0.
+    set "G" needs a finite gamma > 0; no other set takes a gamma.
 
     Per mode (continuous | discrete):
 
@@ -121,51 +121,51 @@ def family_system(model, family, gamma=None):
 
         "Osum"  sum_q (A_q^T M A_q + C_q^T C_q) - M
         "Csum"  sum_q (A_q M A_q^T + B_q B_q^T) - M
+
+    Only "G" and "Osum" are written out.  "O" is the "G" block with no input
+    and "S" the one with no input and no output; "C" and "Csum" are "O" and
+    "Osum" of the dual system (A_q^T, C_q^T, B_q^T).
     """
+    if gamma is not None and family != "G":
+        raise ValueError(f"only the gain set takes a gamma, not {family!r} (gamma={gamma})")
+    if family in ("C", "Csum"):
+        return family_system(dual_system(model), "O" + family[1:])
     n = model.n
-    if family in ("Osum", "Csum"):
+    if family == "Osum":
         require_discrete(model)
         I = np.eye(n)
-        GB, GC = model.gram_sums()
-        if family == "Csum":
-            terms, const = [LmiTerm(A, A.T) for A in model.A], GB
-        else:
-            terms, const = [LmiTerm(A.T, A) for A in model.A], GC
-        terms.append(LmiTerm(-I, I))
-        return AffineLmiSystem(n, (LmiBlock(np.asarray(const, dtype=float), tuple(terms)),))
+        terms = [LmiTerm(A.T, A) for A in model.A] + [LmiTerm(-I, I)]
+        const = np.asarray(model.gram_sums()[1], dtype=float)
+        return AffineLmiSystem(n, (LmiBlock(const, tuple(terms)),))
     if family == "G" and not (gamma is not None and 0 < gamma < np.inf):
         raise ValueError(f"the gain set needs a finite gamma > 0, got {gamma}")
-    if family not in ("S", "O", "C", "G"):
+    if family not in ("S", "O", "G"):
         raise ValueError(f"unknown set {family!r}")
-    blocks = tuple(_mode_block(family, A, B, C, gamma, model.is_discrete)
-                   for A, B, C in zip(model.A, model.B, model.C))
-    return AffineLmiSystem(n, blocks)
+    modes = zip(model.A, model.B, model.C)
+    if family != "G":  # an empty gamma corner: gamma is unread
+        no_input, no_output = np.zeros((n, 0)), np.zeros((0, n))
+        modes = ((A, no_input, C if family == "O" else no_output) for A, _, C in modes)
+        gamma = 0.0
+    return AffineLmiSystem(n, tuple(_mode_block(A, B, C, gamma, model.is_discrete)
+                                    for A, B, C in modes))
 
 
-def _mode_block(family, A, B, C, gamma, discrete):
-    n = A.shape[0]
-    I = np.eye(n)
-    if family == "G":
-        m = B.shape[1]
-        E1 = np.vstack([I, np.zeros((m, n))])  # embeds n-dim into the block
-        const = np.zeros((n + m, n + m))
-        const[:n, :n] = C.T @ C
-        const[n:, n:] = -(gamma**2) * np.eye(m)
-        if discrete:
-            L1 = np.vstack([A.T, B.T])
-            return LmiBlock(const, (LmiTerm(L1, L1.T), LmiTerm(-E1, E1.T)))
-        R2 = np.hstack([np.zeros((n, n)), B])
-        return LmiBlock(const, (LmiTerm(E1 @ A.T, E1.T, symmetrize=True),
-                                LmiTerm(E1, R2, symmetrize=True)))
-    if family == "S":
-        const, L = np.zeros((n, n)), A.T
-    elif family == "O":
-        const, L = C.T @ C, A.T
-    else:
-        const, L = B @ B.T, A
+def _mode_block(A, B, C, gamma, discrete):
+    """The gain block of one mode; with no input (m = 0) it is the
+    observability block, and with no output too the stability block."""
+    n, m = B.shape
+    E1 = np.eye(n + m, n)  # embeds n-dim into the block
+    const = np.zeros((n + m, n + m))
+    const[:n, :n] = C.T @ C
+    const[n:, n:] = -(gamma**2) * np.eye(m)
     if discrete:
-        return LmiBlock(const, (LmiTerm(L, L.T), LmiTerm(-I, I)))
-    return LmiBlock(const, (LmiTerm(L, I, symmetrize=True),))
+        L1 = np.vstack([A.T, B.T])
+        return LmiBlock(const, (LmiTerm(L1, L1.T), LmiTerm(-E1, E1.T)))
+    terms = (LmiTerm(E1 @ A.T, E1.T, symmetrize=True),)
+    if m:
+        R2 = np.hstack([np.zeros((n, n)), B])
+        terms += (LmiTerm(E1, R2, symmetrize=True),)
+    return LmiBlock(const, terms)
 
 
 def lifted_gain_system(model):
@@ -178,7 +178,7 @@ def lifted_gain_system(model):
     corner = [np.eye(n + m)[:, n + j:n + j + 1] for j in range(m)]
     blocks = []
     for A, B, C in zip(model.A, model.B, model.C):
-        block = _mode_block("G", A, B, C, 0.0, model.is_discrete)
+        block = _mode_block(A, B, C, 0.0, model.is_discrete)
         terms = [LmiTerm(t.left @ E, E.T @ t.right, t.symmetrize) for t in block.terms]
         terms += [LmiTerm(-f @ e.T, e @ f.T) for f in corner]
         blocks.append(LmiBlock(block.constant, tuple(terms)))

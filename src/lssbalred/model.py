@@ -94,6 +94,8 @@ class SwitchingSignal:
     def __post_init__(self):
         if len(self.modes) == 0:
             raise ValueError("switching signal must be non-empty")
+        if not all(isinstance(q, (int, np.integer)) for q in self.modes):
+            raise ValueError(f"mode indices must be integers, got {self.modes}")
         if self.time_domain == CONTINUOUS:
             if len(self.dwells) != len(self.modes):
                 raise ValueError("dwell list must match mode list")
@@ -113,7 +115,7 @@ class Isomorphism:
     """Invertible state-space change of basis."""
 
     S: np.ndarray
-    condition_estimate: float = field(default=0.0)
+    condition_estimate: float = field(init=False)
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
@@ -155,20 +157,20 @@ def validate_model(model):
     return v
 
 
+def project(model, W, V):
+    """The model (W A_q V, W B_q, C_q V) in the same time domain, with the
+    same name: a change of basis for W = V^-1, the restriction to an
+    invariant subspace with orthonormal basis V for W = V^T."""
+    return LssModel(model.time_domain, tuple(W @ A @ V for A in model.A),
+                    tuple(W @ B for B in model.B), tuple(C @ V for C in model.C), name=model.name)
+
+
 def apply_isomorphism(model, iso):
     """Change of basis z = S x: returns the model with matrices
     (S A S^-1, S B, C S^-1).  The input-output map is unchanged."""
-    S = iso.S
-    if S.shape != (model.n, model.n):
+    if iso.S.shape != (model.n, model.n):
         raise ValueError("transform dimension does not match the model")
-    Sinv = iso.inv
-    return LssModel(
-        model.time_domain,
-        tuple(S @ A @ Sinv for A in model.A),
-        tuple(S @ B for B in model.B),
-        tuple(C @ Sinv for C in model.C),
-        name=model.name,
-    )
+    return project(model, iso.S, iso.inv)
 
 
 def dual_system(model):

@@ -11,7 +11,7 @@ steps.
 import numpy as np
 
 from ._linalg import orth_columns, orth_complement
-from .model import LssModel, _io_shape, difference_system, dual_system
+from .model import _io_shape, difference_system, dual_system, project
 
 
 def _stacked_output(model):
@@ -63,22 +63,11 @@ def word_matrix(A_list, word):
     return M
 
 
-def _restrict(model, V):
-    """Model restricted to the invariant subspace spanned by V's columns."""
-    return LssModel(
-        model.time_domain,
-        tuple(V.T @ A @ V for A in model.A),
-        tuple(V.T @ B for B in model.B),
-        tuple(C @ V for C in model.C),
-        name=model.name,
-    )
-
-
 def reachability_reduction(model):
     """Restrict to the reachable image, whose basis is returned along;
     equivalent and span-reachable."""
     V = reachable_subspace(model)
-    return _restrict(model, V), V
+    return project(model, V.T, V), V
 
 
 def observability_reduction(model):
@@ -86,7 +75,7 @@ def observability_reduction(model):
     complement, the dual system's reachable image, whose basis is returned.
     Equivalent and observable; preserves span-reachability."""
     V = reachable_subspace(dual_system(model))
-    return _restrict(model, V), V
+    return project(model, V.T, V), V
 
 
 def minimize(model):

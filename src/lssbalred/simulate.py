@@ -100,12 +100,15 @@ class EnergyCheckReport:
 
 
 def horizon_steps(time_domain, horizon, h=None, trials=1):
-    """Steps of a run over `horizon`: int(horizon) in discrete time (h unread),
+    """Steps of a run over `horizon`: int(horizon) in discrete time,
     round(horizon / h) in continuous time.  The one home of the run-length rules:
-    trials >= 1, a finite step h > 0, a finite horizon and at least one step."""
+    trials >= 1, no step h in discrete time and a finite step h > 0 in
+    continuous time, a finite horizon and at least one step."""
     if trials < 1:
         raise ValueError(f"at least one trial is needed, got trials={trials}")
     discrete = time_domain == DISCRETE
+    if discrete and h is not None:
+        raise ValueError(f"discrete-time simulation takes no step h, got {h}")
     if not discrete and (h is None or not 0 < h < math.inf):
         raise ValueError(f"continuous-time simulation requires a finite positive step h, got {h}")
     ratio = horizon if discrete else horizon / h
@@ -120,10 +123,12 @@ def horizon_steps(time_domain, horizon, h=None, trials=1):
 def steps_from_signal(signal, h=None):
     """Per-step 0-based mode indices implied by a switching signal.
 
-    Discrete signals expand to themselves.  Continuous signals require h to
-    divide every dwell within 1e-9; horizon_steps counts each dwell's steps.
+    Discrete signals expand to themselves and take no h.  Continuous signals
+    require h to divide every dwell within 1e-9; horizon_steps counts each
+    dwell's steps.
     """
     if signal.time_domain == DISCRETE:
+        horizon_steps(DISCRETE, len(signal.modes), h)
         return np.asarray(signal.modes, dtype=int)
     counts = [horizon_steps(CONTINUOUS, dwell, h) for dwell in signal.dwells]
     for dwell, count in zip(signal.dwells, counts):
@@ -235,8 +240,6 @@ def simulate(model, u, signal, h=None):
         u = u[:, None]
     if u.shape != (N, model.m):
         raise ValueError(f"input must have shape {(N, model.m)}, got {u.shape}")
-    if model.is_discrete:
-        h = None
     states, outputs, energy = _run(model, modes[None, :], u[None, :, :], h)
     times = np.arange(N + 1, dtype=float) * (1.0 if h is None else h)
     return Trajectory(times, states[0], outputs[0], u, signal, h, energy[0])
@@ -440,7 +443,7 @@ def decay_horizon(model, cert, h=None):
     if model.is_discrete:
         factor = max(1e-12, 1.0 - min(rate, 1.0 - 1e-12))
         steps = int(math.ceil(math.log(DECAY_TARGET) / math.log(factor)))
-        return max(8, min(steps, HORIZON_CAP))
+        return horizon_steps(DISCRETE, max(8, min(steps, HORIZON_CAP)), h)
     T = math.log(1.0 / DECAY_TARGET) / rate
     if h is not None:
         T = horizon_steps(CONTINUOUS, max(min(T, HORIZON_CAP * h), 8 * h), h) * h

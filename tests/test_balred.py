@@ -177,6 +177,13 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce_model(example1, pair, order=2, bound_budget=1.0)
 
+    @pytest.mark.parametrize("order", [2.7, 2.0])
+    def test_non_integer_order_is_rejected(self, order):
+        # 2.7 used to keep 2 states
+        model = random_stable_model("discrete", 4, 2, kind="strong", seed=1)
+        with pytest.raises(ValueError, match="integer"):
+            reduce_model(model, compute_pair(model, "nice"), order=order)
+
     def test_nice_source_requires_discrete(self, example1):
         with pytest.raises(ValueError):
             compute_pair(example1, "nice")

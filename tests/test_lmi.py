@@ -8,8 +8,10 @@ from lssbalred import (
     Certificate,
     LmiBlock,
     LmiTerm,
+    LssModel,
     check_membership,
     check_quadratic_stability,
+    dual_system,
     family_system,
     gamma_feasible,
     l2_gain_upper_bound,
@@ -287,6 +289,34 @@ class TestFamilySystem:
     def test_unknown_family_rejected(self, example1):
         with pytest.raises(ValueError, match="unknown set"):
             family_system(example1, "X")
+
+    @pytest.mark.parametrize("family", ["S", "O", "C", "Osum", "Csum"])
+    def test_gamma_only_with_the_gain_set(self, family):
+        model = random_stable_model("discrete", 3, 2, seed=1)
+        with pytest.raises(ValueError, match="gamma"):
+            check_membership(model, np.eye(3), family, gamma=3.0)
+
+    @pytest.mark.parametrize("family,td", [("C", "continuous"), ("C", "discrete"),
+                                           ("Csum", "discrete")])
+    def test_controllability_is_observability_of_the_dual(self, family, td):
+        model = random_stable_model(td, 4, 3, m=2, p=3, seed=65)
+        rng = np.random.default_rng(66)
+        K = rng.standard_normal((4, 4))
+        M = K + K.T
+        dual_family = "O" + family[1:]
+        got = check_membership(model, M, family)
+        assert got.family == family
+        assert got.residuals == check_membership(dual_system(model), M, dual_family).residuals
+
+    @pytest.mark.parametrize("td", ["continuous", "discrete"])
+    def test_stability_is_observability_with_no_output(self, td):
+        model = random_stable_model(td, 4, 3, m=2, p=3, seed=67)
+        blind = LssModel(td, model.A, model.B, tuple(np.zeros((0, 4)) for _ in model.C))
+        rng = np.random.default_rng(68)
+        K = rng.standard_normal((4, 4))
+        M = K + K.T
+        assert (check_membership(model, M, "S").residuals
+                == check_membership(blind, M, "O").residuals)
 
 
 def _gain_bound(model):

@@ -84,6 +84,11 @@ class TestIsomorphism:
         with pytest.raises(ValueError, match="singular"):
             Isomorphism(np.zeros((2, 2)))
 
+    def test_condition_estimate_is_computed_not_passed(self):
+        assert Isomorphism(np.diag([1.0, 4.0])).condition_estimate == 4.0
+        with pytest.raises(TypeError):
+            Isomorphism(np.eye(2), condition_estimate=5.0)
+
     def test_markov_parameters_preserved(self):
         rng = np.random.default_rng(11)
         model = random_stable_model("discrete", 3, 2, m=2, p=2, seed=8)
@@ -164,6 +169,11 @@ class TestSwitchingSignal:
         # named here, not later in simulate as a bad horizon
         with pytest.raises(ValueError, match="dwell"):
             SwitchingSignal("continuous", (0,), (dwell,))
+
+    @pytest.mark.parametrize("modes", [(0.5, 1), (1.0,), ("0",)])
+    def test_rejects_non_integer_mode(self, modes):
+        with pytest.raises(ValueError, match="integer"):
+            SwitchingSignal("discrete", modes)
 
     def test_rejects_out_of_range_mode(self, example1):
         sig = SwitchingSignal("discrete", (0, 1))

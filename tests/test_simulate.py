@@ -343,6 +343,18 @@ class TestEmptyRuns:
         with pytest.raises(ValueError, match=self.BAD_STEP):
             decay_horizon(ct_scalar, check_quadratic_stability(ct_scalar), h=h)
 
+    @pytest.mark.parametrize("h", [0.37, 5.0])
+    def test_discrete_runs_take_no_step(self, h):
+        # h used to be ignored: the same bound, and a trajectory with h None
+        model = random_stable_model("discrete", 3, 2, seed=1)
+        with pytest.raises(ValueError, match="no step"):
+            empirical_gain(model, 5, 20, seed=1, h=h)
+        sig = SwitchingSignal("discrete", (0, 1, 0))
+        with pytest.raises(ValueError, match="no step"):
+            simulate(model, np.zeros((3, 1)), sig, h=h)
+        with pytest.raises(ValueError, match="no step"):
+            decay_horizon(model, check_quadratic_stability(model), h=h)
+
     @pytest.mark.parametrize("time_domain, h", [("discrete", None), ("continuous", 0.1)])
     def test_random_switching_rejects_an_infinite_horizon(self, time_domain, h):
         with pytest.raises(ValueError, match=self.INFINITE):
