@@ -101,6 +101,7 @@ def truncate(bal, r, force_ties=False):
     is 2 * sum of the discarded sigmas.  Truncating inside a tied sigma
     cluster is refused unless forced."""
     n = bal.n
+    _check_integer_order(r)
     if not (1 <= r <= n):
         raise ValueError(f"retained order must be in 1..{n}, got {r}")
     sigmas = bal.sigmas
@@ -140,13 +141,18 @@ def compute_pair(model, source="lmi", tighten=True):
     raise ValueError(f"unknown grammian source {source!r}")
 
 
+def _check_integer_order(order):
+    if not isinstance(order, (int, np.integer)):
+        raise ValueError(f"retained order must be an integer, got {order!r}")
+
+
 def check_target(order, bound_budget):
     """The one rule for a reduction target: exactly one of `order` and
     `bound_budget`, an integer order and a budget >= 0."""
     if (order is None) == (bound_budget is None):
         raise ValueError("specify exactly one of order or bound_budget")
-    if order is not None and not isinstance(order, (int, np.integer)):
-        raise ValueError(f"retained order must be an integer, got {order!r}")
+    if order is not None:
+        _check_integer_order(order)
     if bound_budget is not None and not bound_budget >= 0:
         raise ValueError(f"bound budget must be >= 0, got {bound_budget}")
 

@@ -8,9 +8,10 @@ step of length h, which must divide every dwell time so mode switches land
 on grid points; each step is then the exact zero-order-hold discretization
 of its mode, and the output energy of the step is an exact quadratic form
 (Van Loan's block exponential).  Norms are therefore exact in both time
-domains, with no integration error.  Monte Carlo style estimates are
-batched over trials; every estimate is a certified lower bound carrying a
-replayable witness.
+domains, with no integration error.  A step of a batch of trials is one
+product with every mode's packed [[A_q, B_q], [readout_q]]: the readout is
+[C_q, 0], with the step's energy factor G_q under it in continuous time.
+Every estimate is a certified lower bound carrying a replayable witness.
 """
 
 import math
@@ -137,21 +138,27 @@ def steps_from_signal(signal, h=None):
     return np.repeat(np.asarray(signal.modes, dtype=int), counts)
 
 
-def _recur(A, B, C, modeseq, u):
-    """The one time-stepping loop: x(t+1) = A_q x(t) + B_q u(t), y(t) = C_q x(t)
-    from x(0) = 0, with q = modeseq[:, t].  A, B, C are per-mode stacks;
-    modeseq (R, N) ints, u (R, N, m); returns states (R, N+1, n) and outputs
-    (R, N, p)."""
+def _recur(S, modeseq, u):
+    """The one time-stepping loop.  Each mode's packed step matrix
+    S_q = [[A_q, B_q], [readout_q]] maps z(t) = [x(t); u(t)] to
+    [x(t+1); r(t)] from x(0) = 0, with q = modeseq[:, t].  A step is one
+    product of every trial's z(t) with all the S_q^T side by side, then one
+    pick of each trial's own mode block.  S (D, n+k, n+m), modeseq (R, N)
+    ints, u (R, N, m); returns states (R, N+1, n) and readouts (R, N, k)."""
+    D, nk, nm = S.shape
     R, N = modeseq.shape
-    states = np.zeros((R, N + 1, A.shape[1]))
-    outputs = np.zeros((R, N, C.shape[1]))
-    x = np.zeros((R, A.shape[1], 1))
+    n = nm - u.shape[2]
+    ST = S.transpose(2, 0, 1).reshape(nm, D * nk)  # column block q is S_q^T
+    rows = np.ascontiguousarray((modeseq + D * np.arange(R)[:, None]).T)
+    z = np.zeros((N + 1, R, nm))  # time-major [x(t) | u(t)]
+    z[:N, :, n:] = u.transpose(1, 0, 2)
+    out = np.empty((N, R, nk))  # [x(t+1) | r(t)]
+    w = np.empty((R, D * nk))
     for t in range(N):
-        q = modeseq[:, t]
-        outputs[:, t] = (C[q] @ x)[..., 0]
-        x = A[q] @ x + B[q] @ u[:, t, :, None]
-        states[:, t + 1] = x[..., 0]
-    return states, outputs
+        np.matmul(z[t], ST, out=w)
+        np.take(w.reshape(R * D, nk), rows[t], axis=0, out=out[t])
+        z[t + 1, :, :n] = out[t, :, :n]
+    return z[:, :, :n].transpose(1, 0, 2), out[:, :, n:].transpose(1, 0, 2)
 
 
 def _zoh(model, h):
@@ -164,13 +171,13 @@ def _zoh(model, h):
     over h / 2^s, where its exp(-M^T h / 2^s) corner stays of order one, and
     then doubled, so W stays accurate for stiff modes.
 
-    Returns the stacks A_d, B_d and, per mode, an equivalent discrete output
-    G = [C_d, D_d] with G^T G = W, so the step energy is |G [x; u]|^2.  G
-    drops the eigenvalues of W under 64 k eps lambda_max (k = n + m), its
-    rounding level, so when y is a difference of equal outputs the energy
-    cancels to rounding error instead of to its square root."""
+    Returns the stacks [A_d, B_d] (D, n, k) and G (D, k, k) with G^T G = W,
+    so the step energy is |G [x; u]|^2.  G zeroes the rows of the eigenvalues
+    of W under 64 k eps lambda_max (k = n + m), its rounding level, so when y
+    is a difference of equal outputs the energy cancels to rounding error
+    instead of to its square root."""
     n, k = model.n, model.n + model.m
-    Ad, Bd, G = [], [], []
+    ABd, G = [], []
     for A, B, C in zip(model.A, model.B, model.C):
         M = np.zeros((k, k))
         M[:n] = np.hstack([A, B])
@@ -180,34 +187,36 @@ def _zoh(model, h):
         E, W = F[k:, k:], F[k:, k:].T @ F[:k, k:]
         for _ in range(s):  # W(2t) = W(t) + E(t)^T W(t) E(t), E(2t) = E(t)^2
             W, E = W + E.T @ W @ E, E @ E
-        Ad.append(E[:n, :n])
-        Bd.append(E[:n, n:])
+        ABd.append(E[:n])
         lam, V = np.linalg.eigh(symmetrize(W))
         keep = lam > 64 * k * np.finfo(float).eps * max(lam[-1], 0.0)
-        G.append(np.sqrt(lam[keep])[:, None] * V[:, keep].T)
-    return np.stack(Ad), np.stack(Bd), G
+        G.append(np.sqrt(np.where(keep, lam, 0.0))[:, None] * V.T)
+    return np.stack(ABd), np.stack(G)
+
+
+def _packed(model, AB, *energy):
+    """Per-mode step matrices [[A_q, B_q], [C_q, 0], [energy_q]] (D, n+k, n+m)."""
+    C = np.pad(np.stack(model.C), ((0, 0), (0, 0), (0, model.m)))
+    return np.concatenate([AB, C, *energy], axis=1)
 
 
 def _dt_run_batch(model, modeseq, u):
     """Batched discrete-time recursion: states (R, N+1, n), outputs (R, N, p)."""
-    return _recur(np.stack(model.A), np.stack(model.B), np.stack(model.C), modeseq, u)
+    AB = np.concatenate([np.stack(model.A), np.stack(model.B)], axis=2)
+    return _recur(_packed(model, AB), modeseq, u)
 
 
 def _ct_run_batch(model, modeseq, u, h):
     """Batched continuous-time run on the grid t_k = k h, stepped by the
-    exact zero-order-hold discretization computed once.  Returns states
-    (R, N+1, n), output samples (R, N+1, p), the final one with the last
-    active mode, and the output energy of every step (R, N)."""
-    Ad, Bd, Gs = _zoh(model, h)
-    C = np.stack(model.C)
-    states, outputs = _recur(Ad, Bd, C, modeseq, u)
-    last = C[modeseq[:, -1]] @ states[:, -1, :, None]
-    xu = np.concatenate([states[:, :-1], u], axis=2)
-    energy = np.empty(modeseq.shape)
-    for q, G in enumerate(Gs):
-        sel = modeseq == q
-        energy[sel] = np.sum((xu[sel] @ G.T) ** 2, axis=1)
-    return states, np.concatenate([outputs, last.transpose(0, 2, 1)], axis=1), energy
+    exact zero-order-hold discretization computed once, whose energy factor
+    G_q rides in the readout.  Returns states (R, N+1, n), output samples
+    (R, N+1, p), the final one with the last active mode, and the output
+    energy of every step (R, N)."""
+    ABd, G = _zoh(model, h)
+    states, r = _recur(_packed(model, ABd, G), modeseq, u)
+    last = np.einsum("rpn,rn->rp", np.stack(model.C)[modeseq[:, -1]], states[:, -1])
+    outputs = np.concatenate([r[:, :, :model.p], last[:, None]], axis=1)
+    return states, outputs, np.sum(r[:, :, model.p:] ** 2, axis=2)
 
 
 def _run(model, modeseq, u, h):
@@ -415,11 +424,11 @@ def check_energy_lemmas(model, pair, trials, seed, horizon, h=None):
     states, _, energy = _run(model, modeseq, u, h)
     # cum_in[:, t] = input energy strictly before t
     cum_in = np.cumsum(np.pad(_input_energy(model, u, h), ((0, 0), (1, 0))), axis=1)
-    vP = np.einsum("rti,ij,rtj->rt", states, Pinv, states)
+    vP = np.sum((states @ Pinv) * states, axis=2)
     worst_in = float(np.max(vP - cum_in))
     future = np.sum(_from_cut(energy, cut), axis=1)
     x = states[np.arange(trials), cut]
-    worst_out = float(np.max(future - np.einsum("ri,ij,rj->r", x, pair.Q_obs, x)))
+    worst_out = float(np.max(future - np.sum((x @ pair.Q_obs) * x, axis=1)))
     passed = (worst_in <= VERIFY_ATOL * (1.0 + float(np.max(cum_in)))
               and worst_out <= VERIFY_ATOL * (1.0 + float(np.max(future))))
     return EnergyCheckReport(worst_in, worst_out, trials, passed)

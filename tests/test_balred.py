@@ -95,6 +95,13 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(bal, 4)
 
+    @pytest.mark.parametrize("r, force_ties", [(2.7, False), (2.0, True)])
+    def test_non_integer_order_is_rejected(self, r, force_ties):
+        model = random_stable_model("discrete", 4, 2, kind="strong", seed=1)
+        bal = balance(model, compute_pair(model, "nice"))
+        with pytest.raises(ValueError, match="must be an integer"):
+            truncate(bal, r, force_ties=force_ties)
+
     def test_full_order_keeps_model(self, example1, example1_lambda):
         bal = balance(example1, GrammianPair(example1_lambda, example1_lambda, "manual"))
         res = truncate(bal, 3)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,13 @@ from lssbalred import (
 )
 from lssbalred.balred import balance, truncate
 from lssbalred.model import difference_system
-from lssbalred.simulate import _ct_run_batch, _dt_run_batch, random_switching, steps_from_signal
+from lssbalred.simulate import (
+    _ct_run_batch,
+    _dt_run_batch,
+    _zoh,
+    random_switching,
+    steps_from_signal,
+)
 from lssbalred.stability import check_quadratic_stability
 
 
@@ -36,18 +43,40 @@ class TestSimulate:
         )
 
     def test_dt_recursion_is_exact(self):
-        model = random_stable_model("discrete", 3, 2, m=2, p=2, seed=1)
+        # Every returned x(t+1) and y(t) is within the forward error bound of
+        # dot products summed in any order (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., sec. 3.1) of the exact rational value
+        # of A_q x(t) + B_q u(t) and C_q x(t) at the returned x(t):
+        # gamma_k (|A_q| |x(t)| + |B_q| |u(t)|) with k = n + m, and
+        # gamma_n |C_q| |x(t)|, where gamma_k = k e / (1 - k e) with the unit
+        # roundoff e = eps / 2.
+        # The bound holds for any BLAS kernel.  Seven trials run different
+        # modes at the same step, so picking another trial's mode fails.
+        n, D, m, R, N = 3, 3, 2, 7, 20
+        model = random_stable_model("discrete", n, D, m=m, p=2, seed=1)
         rng = np.random.default_rng(2)
-        N = 20
-        sig = SwitchingSignal("discrete", tuple(int(q) for q in rng.integers(0, 2, N)))
-        u = rng.standard_normal((N, 2))
-        traj = simulate(model, u, sig)
-        x = np.zeros(3)
-        for t in range(N):
-            A, B, C = model.mode(sig.modes[t])
-            np.testing.assert_array_equal(traj.outputs[t], C @ x)
-            x = A @ x + B @ u[t]
-            np.testing.assert_array_equal(traj.states[t + 1], x)
+        modes = rng.integers(0, D, size=(R, N))
+        assert all(len(set(modes[:, t])) > 1 for t in range(N))
+        u = rng.standard_normal((R, N, m))
+        states, outputs = _dt_run_batch(model, modes, u)
+        assert np.all(states[:, 0] == 0.0)
+
+        def gamma(k):
+            unit = Fraction(1, 2**53)
+            return k * unit / (1 - k * unit)
+
+        def check(M, v, got, k):
+            for i in range(M.shape[0]):
+                terms = [Fraction(a) * Fraction(b) for a, b in zip(M[i], v)]
+                bound = gamma(k) * sum(abs(t) for t in terms)
+                assert abs(Fraction(got[i]) - sum(terms)) <= bound
+
+        for r in range(R):
+            for t in range(N):
+                A, B, C = model.mode(modes[r, t])
+                x = states[r, t]
+                check(np.hstack([A, B]), np.concatenate([x, u[r, t]]), states[r, t + 1], n + m)
+                check(C, x, outputs[r, t], n)
 
     def test_ct_zero_input_zero_output(self, example1):
         sig = SwitchingSignal("continuous", (0,), (2.0,))
@@ -135,6 +164,26 @@ class TestSimulate:
                  + d**2 * (1.0 - np.exp(-2.0 * a * h)) / (2.0 * a))
         np.testing.assert_allclose(traj.energy, steps, rtol=1e-13, atol=1e-15)
         assert traj.output_norm == pytest.approx(np.sqrt(np.sum(steps)), rel=1e-13)
+
+    def test_ct_step_energy_is_the_zoh_quadratic_form(self):
+        # each step's energy is [x; u]^T W_q [x; u] with W_q = G_q^T G_q, at
+        # the trial's own mode; mode 1 has C = 0, so its W and G are zero and
+        # the energy of its steps is exactly zero
+        base = random_stable_model("continuous", 3, 3, m=2, p=2, kind="quadratic", seed=11)
+        C = (base.C[0], np.zeros((2, 3)), base.C[2])
+        model = LssModel("continuous", base.A, base.B, C)
+        h = 0.05
+        rng = np.random.default_rng(12)
+        modes = rng.integers(0, 3, size=(5, 40))
+        u = rng.standard_normal((5, 40, 2))
+        states, _, energy = _ct_run_batch(model, modes, u, h)
+        _, G = _zoh(model, h)
+        W = G.transpose(0, 2, 1) @ G
+        xu = np.concatenate([states[:, :-1], u], axis=2)
+        expected = np.einsum("rti,rtij,rtj->rt", xu, W[modes], xu)
+        live = modes != 1
+        np.testing.assert_allclose(energy[live], expected[live], rtol=1e-12, atol=0)
+        assert np.all(energy[~live] == 0.0)
 
     def test_ct_refined_grid_gives_the_same_trajectory(self):
         # the same held input and switching sampled on h and on h/2 (each
