@@ -11,5 +11,7 @@ class ModelFormatError(LssError):
 
 
 class InfeasibleError(LssError):
-    """Raised when a solver cannot produce a certificate or grammian
-    within its budget.  This is not a proof of infeasibility."""
+    """Raised when a solver cannot produce a certificate or grammian.  The
+    message says why: a budget ran out, or phase 1 of the interior-point
+    solve ended with s > 0 (no point of bounded trace clears the margin).
+    Neither is a proof that the set is empty without a margin."""

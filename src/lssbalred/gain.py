@@ -13,17 +13,24 @@ must be negative definite for every mode; any solution certifies that the
 worst-case output/input energy ratio over all switching signals is at most
 gamma.  The block is affine in (P, t = gamma^2), so the smallest certified
 gamma is the optimum of one LMI program: :func:`l2_gain_upper_bound` solves
-min t over :func:`lssbalred.lmi.lifted_gain_system` once and re-verifies
-the certificate at gamma = sqrt(t), so the result is always a sound upper
-bound.
+min t over :func:`lssbalred.lmi.lifted_gain_system` once, by the
+interior-point method :func:`lssbalred.lmi.minimize`, and re-verifies the
+certificate at gamma = sqrt(t), so the result is always a sound upper bound.
+Its `tol` is a relative barrier gap: the solve ends once gamma^2 is known
+within 1e-3 * tol of the optimum of the margin program.  No certificate is
+reported when phase 1 of that solve ends with s > 0: then no point of the
+gain family, up to 1e8 times the start's trace, clears the solver margin,
+which is how a model that is not quadratically stable is rejected.
+:func:`gamma_feasible` answers one fixed gamma by the Douglas-Rachford
+solver.
 """
 
 import numpy as np
 
+from ._linalg import min_eig
 from .errors import InfeasibleError
 from .grammians import singular_values
-from .lmi import check_membership, family_system, lifted_gain_system, solve_feasibility
-from .stability import check_quadratic_stability
+from .lmi import check_membership, family_system, lifted_gain_system, minimize, solve_feasibility
 
 
 def gamma_feasible(model, gamma, start=None):
@@ -36,32 +43,31 @@ def gamma_feasible(model, gamma, start=None):
 
 
 def l2_gain_upper_bound(model, tol=1e-3):
-    """The smallest certified gain, from one min gamma^2 solve.
+    """The smallest certified gain, from one min gamma^2 interior-point solve.
 
-    Requires a quadratic-stability certificate (which guarantees feasibility
-    for large enough gamma, and rejects unstable models quickly).  The solve
-    is warm-started from diag(I, guess^2), guess = max_q |B_q| |C_q|, and
-    settles at a DR step of 1e-2 * `tol` relative.  Returns
-    (gamma_star, certificate), where the certificate was verified at
-    gamma_star and the true gain is at most gamma_star.  `tol` is finite, > 0.
+    :func:`lssbalred.lmi.minimize` runs from diag(I, guess^2),
+    guess = max_q |B_q| |C_q|.  Its phase 1 decides feasibility: a model
+    with no point of the gain family at the solver margin (one that is not
+    quadratically stable, for instance) raises InfeasibleError naming the
+    phase-1 value s > 0.  The solve stops once its barrier gap bounds
+    gamma^2 within a relative 1e-3 * `tol` of the optimum of the margin
+    program.  Returns (gamma_star, certificate), where the certificate was
+    verified at gamma_star, its P is positive definite, and the true gain is
+    at most gamma_star.  `tol` is finite, > 0.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if check_quadratic_stability(model) is None:
-        raise InfeasibleError("no quadratic stability certificate found")
     n = model.n
     guess = max(
         float(np.linalg.norm(B, 2) * np.linalg.norm(C, 2))
         for B, C in zip(model.B, model.C)
     )
     start = np.diag(np.r_[np.ones(n), max(guess, 1e-6) ** 2])
-    result = solve_feasibility(lifted_gain_system(model), start=start,
-                               objective=np.diag(np.r_[np.zeros(n), 1.0]), settle=1e-2 * tol)
-    if not result.feasible:
-        raise InfeasibleError("no gain certificate found within budget")
+    result = minimize(lifted_gain_system(model), np.diag(np.r_[np.zeros(n), 1.0]), start,
+                      rtol=1e-3 * tol)
     gamma = float(np.sqrt(result.solution[n, n]))
     cert = check_membership(model, result.solution[:n, :n], "G", gamma)
-    if cert.worst >= 0:
+    if not (0 < gamma < np.inf and cert.worst < 0 and min_eig(cert.P) > 0):
         raise InfeasibleError(f"gain certificate fails re-verification at gamma {gamma:.6g}")
     return gamma, cert
 

@@ -11,16 +11,22 @@ k_i x k_i matrices, and the margin is MARGIN_SCALE_FACTOR times the data
 scale: the solver works it out from the system.  Every constraint family of
 a switched model (stability, grammian, gain and mode-summed sets) is written
 once, by :func:`family_system`; the solver and the membership checks both
-evaluate those blocks.  The solver runs Douglas-Rachford splitting between the
-affine graph {(P, F_1(P), ..., F_m(P))} and the product of shifted
-semidefinite cones.  Compiling a system evaluates every block once on the
-stacked symmetric basis, precomputes the graph projector and groups the
-cones by size, so a sweep costs two matrix-vector products in the symmetric
+evaluate those blocks.  There are two solvers over the same compiled system.
+
+:func:`solve_feasibility` runs Douglas-Rachford splitting between the affine
+graph {(P, F_1(P), ..., F_m(P))} and the product of shifted semidefinite
+cones.  Compiling a system evaluates every block once on the stacked
+symmetric basis, precomputes the graph projector and groups the cones by
+size, so a sweep costs two matrix-vector products in the symmetric
 vectorization plus one eigvalsh (the feasibility test) and one eigh (the
 clip onto the cones) on each stack of equal-size cones.  A linear objective
-<W, P> only shifts the graph projection's target, so the certified gain
-(min gamma^2) and trace-tightened grammians (min tr P) take one solve each.
-"Infeasible" means no certificate was found within the iteration budget.
+<W, P> only shifts the graph projection's target, so trace-tightened
+grammians (min tr P) take one solve.  "Infeasible" means no certificate was
+found within the iteration budget.
+
+:func:`minimize` is a log-barrier interior-point method for min <W, P> over
+the same cones, with a phase 1 that decides feasibility; the certified gain
+(min gamma^2 over :func:`lifted_gain_system`) takes one such solve.
 """
 
 from dataclasses import dataclass
@@ -30,6 +36,7 @@ import numpy as np
 from ._linalg import (
     asymmetric,
     max_eig,
+    min_eig,
     require_symmetric,
     svec,
     svec_dim,
@@ -37,6 +44,7 @@ from ._linalg import (
     sym_basis,
     symmetrize,
 )
+from .errors import InfeasibleError
 from .model import dual_system, require_discrete
 
 DEFAULT_BUDGET = 5000
@@ -45,6 +53,14 @@ OBJECTIVE_STEP = 0.2  # DR step on the objective, in units of the data scale
 MARGIN_SCALE_FACTOR = 1e-7
 STALL_WINDOW = 300  # sweeps without STALL_RTOL relative progress end a feasibility solve
 STALL_RTOL = 1e-3
+SETTLE_RTOL = 1e-5  # a feasible DR step this small relative to the iterate ends an objective solve
+NEWTON_BUDGET = 500  # Newton steps per minimize call, both phases
+BARRIER_GROWTH = 20.0  # factor on the barrier weight t per centering
+CENTERED = 1e-8  # half the squared Newton decrement that ends a centering
+ARMIJO = 0.25  # accepted steps lower the value by this fraction of the linear prediction
+MIN_STEP = 1e-10  # shortest backtracked step before a centering gives up
+PHASE1_REACH = 1e8  # phase 1 searches P up to this times 1 + tr of the start
+ROUNDING = 1e-13  # a step whose decrease is at most this times |value| ends a centering
 
 
 @dataclass(frozen=True)
@@ -300,8 +316,7 @@ class _CompiledSystem:
         return [v[gather] / divisor for gather, divisor, _, _ in self.cones]
 
 
-def solve_feasibility(sys, budget=None, start=None, callback=None,
-                      objective=None, settle=1e-5):
+def solve_feasibility(sys, budget=None, start=None, callback=None, objective=None):
     """Search for P > 0 satisfying every block of `sys` with margin
     MARGIN_SCALE_FACTOR * data_scale, minimising <objective, P> if a
     symmetric weight `objective` is given.
@@ -321,7 +336,7 @@ def solve_feasibility(sys, budget=None, start=None, callback=None,
     improving: STALL_WINDOW sweeps passed without a drop below
     (1 - STALL_RTOL) times its last mark.  With one, the lowest-objective
     feasible point is returned once a feasible sweep's DR step is at most
-    `settle` * (1 + |xi|) or the budget (OBJECTIVE_BUDGET if None) runs
+    SETTLE_RTOL * (1 + |xi|) or the budget (OBJECTIVE_BUDGET if None) runs
     out.  No negative result is a certificate of infeasibility.
     """
     n = sys.n
@@ -389,7 +404,8 @@ def solve_feasibility(sys, budget=None, start=None, callback=None,
         xi = xi + b - a
         if feasible:  # with an objective: stop once the DR step settles
             step = np.hypot(np.linalg.norm(b[:d] - a[:d]), np.linalg.norm(b[d:] - a[d:]))
-            if step <= settle * (1.0 + np.hypot(np.linalg.norm(xi[:d]), np.linalg.norm(xi[d:]))):
+            size = np.hypot(np.linalg.norm(xi[:d]), np.linalg.norm(xi[d:]))
+            if step <= SETTLE_RTOL * (1.0 + size):
                 break
 
     if found is not None:
@@ -407,3 +423,186 @@ def tighten_trace(sys, seed_solution):
     if result.feasible and np.trace(result.solution) < np.trace(seed_solution):
         return result.solution
     return seed_solution
+
+
+class _Barrier:
+    """-sum_j log det S_j(y) over cone slacks stacked in svec as B y + b,
+    with `cones` tables like _CompiledSystem.cones.  The columns of B,
+    unpacked once into cone matrices G_a, give the Newton system densely:
+    with S_j = L_j L_j^T and Y_a = L_j^-1 G_a L_j^-T, the Hessian is
+    H_ab = sum_j tr(W_j G_a W_j G_b) = sum_j <Y_a, Y_b> (W_j = S_j^-1) and
+    the gradient is -sum_j <Y_a, I>.  When rounding leaves H = Y Y^T
+    indefinite (its condition number is the square of Y's), a QR factor of
+    the stacked svec(Y_a) solves the system instead."""
+
+    def __init__(self, cones, B, b):
+        self.cones, self.B, self.b = cones, B, b
+        self.images = self.unpack(B.T)  # per cone size: (p, count, k, k)
+        # svec(I) of every cone, in the order of the stacks
+        self.identity = np.concatenate([np.tile(svec(np.eye(g.shape[1])), g.shape[0])
+                                        for g, _, _, _ in cones])
+
+    def unpack(self, v):
+        """As _CompiledSystem.unpack, keeping leading axes: the (p, N) columns
+        of B give (p, count, k, k) stacks."""
+        return [v[..., gather] / divisor for gather, divisor, _, _ in self.cones]
+
+    def factor(self, y):
+        """Cholesky factors of the slacks at y, one stack per cone size, or
+        None if y is outside the domain."""
+        try:
+            return [np.linalg.cholesky(S) for S in self.unpack(self.B @ y + self.b)]
+        except np.linalg.LinAlgError:
+            return None
+
+    @staticmethod
+    def value(factors):
+        return -2.0 * sum(float(np.log(np.diagonal(L, axis1=1, axis2=2)).sum()) for L in factors)
+
+    def newton(self, factors, c):
+        """The Newton step of <c, y> + barrier at the point with these
+        factors, and its slope: minus the squared Newton decrement."""
+        p = self.B.shape[1]
+        Y = []
+        for L, G in zip(factors, self.images):
+            L_inv = np.linalg.inv(L)
+            Y.append(svec(L_inv @ G @ L_inv.swapaxes(1, 2)).reshape(p, -1))
+        Y = np.hstack(Y)
+        grad = c - Y @ self.identity
+        H = Y @ Y.T
+        try:
+            np.linalg.cholesky(H)
+            step = -np.linalg.solve(H, grad)
+        except np.linalg.LinAlgError:  # rounding left H indefinite
+            R = np.linalg.qr(Y.T, mode="r")
+            step = -np.linalg.solve(R, np.linalg.solve(R.T, grad))
+        return step, float(grad @ step)
+
+
+def _center(barrier, c, y, budget):
+    """Damped Newton steps on <c, y> + barrier(y) from the interior point y,
+    each with an Armijo backtracking search that takes a failed Cholesky as
+    outside the domain.  Ends when the Newton decrement is below CENTERED,
+    a step's decrease is within rounding of the value, no step is found or
+    `budget` steps are taken; returns (y, steps)."""
+    factors = barrier.factor(y)
+    f = c @ y + barrier.value(factors)
+    for step in range(budget):
+        dy, slope = barrier.newton(factors, c)
+        if -slope <= 2.0 * CENTERED:
+            return y, step
+        alpha = 1.0
+        while True:
+            trial = y + alpha * dy
+            new = barrier.factor(trial)
+            if new is not None:
+                f_new = c @ trial + barrier.value(new)
+                if f_new <= f + ARMIJO * alpha * slope:
+                    break
+            alpha *= 0.5
+            if alpha < MIN_STEP:
+                return y, step
+        decrease = f - f_new
+        y, factors, f = trial, new, f_new
+        if decrease <= ROUNDING * abs(f):
+            return y, step + 1
+    return y, budget
+
+
+def _phase1(compiled, B, b, eye, trace, x, budget):
+    """A strictly feasible svec point, from the start x and the feasibility
+    problem made homogeneous and compact: over (X, s) with tau = 1 - tr X,
+    minimise s subject to B x + tau b + s I > 0 in every cone and
+    tau > 1 / reach, reach = PHASE1_REACH (1 + |tr X_0|).  Once s < 0,
+    X / tau clears every cone by -s / tau.  Raises InfeasibleError when a
+    centre's barrier gap puts the minimum of s above 0 (no P of trace below
+    reach clears the margin), or when the budget runs out; returns
+    (x, Newton steps)."""
+    N, d = B.shape
+    scale = 1.0 + abs(trace @ x)
+    reach = PHASE1_REACH * scale
+    cones = compiled.cones + [(np.full((1, 1, 1), N), np.ones((1, 1)), np.full((1, 1), N), None)]
+    B1 = np.zeros((N + 1, d + 1))
+    B1[:N, :d] = B - np.outer(b, trace)
+    B1[:N, d] = eye
+    B1[N, :d] = -trace
+    barrier = _Barrier(cones, B1, np.r_[b, 1.0 - 1.0 / reach])
+    K = int(barrier.identity.sum())
+    x = x / scale
+    slacks = barrier.unpack(B1[:, :d] @ x + barrier.b)
+    lowest = min(float(np.linalg.eigvalsh(S)[:, 0].min()) for S in slacks)
+    y = np.r_[x, 2.0 * abs(lowest) + 1.0 - trace @ x]  # every slack at least tau
+    t = K / y[-1]
+    steps = 0
+    while steps < budget:
+        y, k = _center(barrier, t * np.r_[np.zeros(d), 1.0], y, budget - steps)
+        steps += max(k, 1)  # a centering without a step still counts, so t stays bounded
+        if y[-1] < 0:
+            return y[:d] / (1.0 - trace @ y[:d]), steps
+        if y[-1] > 2.0 * K / t:
+            raise InfeasibleError(
+                f"phase 1 ended at s = {y[-1]:.3g} > 0 after {steps} Newton steps: its barrier "
+                f"gap bounds s above 0, so no P of trace below {reach:.3g} clears the solver margin")
+        t *= BARRIER_GROWTH
+    raise InfeasibleError(f"phase 1 ended at s = {y[-1]:.3g} > 0: its budget of {budget} "
+                          f"Newton steps ran out")
+
+
+def minimize(sys, objective, start=None, rtol=1e-6):
+    """The smallest <objective, P> over the points of `sys` with margin
+    MARGIN_SCALE_FACTOR * data_scale, by a log-barrier interior-point method.
+
+    Minimises t <W, P> + delta tr P - sum_j log det S_j over the slacks
+    S_0 = P - margin I and S_j = -margin I - F_j(P), of sizes k_j, with
+    damped Newton steps (see _center), and raises t by BARRIER_GROWTH per
+    centering until the centre's gap bound (K + delta tr P) / t,
+    K = sum_j k_j, is at most `rtol` * |<W, P>|.  The term delta tr P,
+    delta = K / tr P at the first centre's start, keeps a centre finite
+    when the objective leaves a direction free (a state no input reaches,
+    say).  A `start` (identity if None) that is not strictly inside first
+    goes through phase 1 (see _phase1), which raises InfeasibleError naming
+    its s when it ends with s > 0: no point clears the margin.
+
+    Returns a feasible FeasibilityResult whose `iterations` counts the
+    Newton steps of both phases; as with solve_feasibility, its P
+    re-evaluates to max block eigenvalue <= -margin and min eig(P) >= margin.
+    """
+    n = sys.n
+    margin = MARGIN_SCALE_FACTOR * sys.data_scale()
+    compiled = _CompiledSystem(sys)
+    d = compiled.d
+    weight = svec(require_symmetric(np.asarray(objective, dtype=float), what="objective"))
+    if start is not None:
+        P0 = require_symmetric(np.asarray(start, dtype=float), what="start")
+    else:
+        P0 = np.eye(n)
+    sizes = [n] + [blk.size for blk in sys.blocks]
+    K = sum(sizes)
+    eye = np.concatenate([svec(np.eye(k)) for k in sizes])  # every cone's identity, stacked
+    sign = np.r_[np.ones(d), -np.ones(compiled.consts.size)]
+    B = sign[:, None] * np.vstack((np.eye(d), compiled.maps))
+    b = sign * np.r_[np.zeros(d), compiled.consts] - margin * eye
+    barrier = _Barrier(compiled.cones, B, b)
+    trace = svec(np.eye(n))
+    x = svec(P0)
+    steps = 0
+    if barrier.factor(x) is None:
+        x, steps = _phase1(compiled, B, b, eye, trace, x, NEWTON_BUDGET)
+
+    delta = K / (trace @ x)
+    t = K / max(abs(weight @ x), margin)
+    centres = []
+    while steps < NEWTON_BUDGET:
+        x, k = _center(barrier, t * weight + delta * trace, x, NEWTON_BUDGET - steps)
+        steps += max(k, 1)
+        centres.append(x)
+        if (K + delta * (trace @ x)) / t <= rtol * abs(weight @ x):
+            break
+        t *= BARRIER_GROWTH
+    for x in reversed(centres):  # the last centre that re-verifies
+        P = compiled.unpack(np.concatenate((x, compiled.images(x))))[0][0]
+        res = sys.residual(P)
+        if res <= -margin and min_eig(P) >= margin:
+            return FeasibilityResult("feasible", P, res, steps, margin)
+    raise InfeasibleError(f"no barrier centre within {NEWTON_BUDGET} Newton steps re-verifies "
+                          f"at the solver margin {margin:.3g}")

@@ -39,6 +39,7 @@ from lssbalred.lmi import (
     MARGIN_SCALE_FACTOR,
     OBJECTIVE_BUDGET,
     OBJECTIVE_STEP,
+    SETTLE_RTOL,
     STALL_RTOL,
     STALL_WINDOW,
     FeasibilityResult,
@@ -179,8 +180,7 @@ def _clip_spectrum(M, floor=None, ceiling=None):
     return (V * w) @ V.T
 
 
-def per_cone_solve_feasibility(sys, budget=None, start=None, callback=None,
-                               objective=None, settle=1e-5):
+def per_cone_solve_feasibility(sys, budget=None, start=None, callback=None, objective=None):
     """:func:`lssbalred.lmi.solve_feasibility` with each cone unpacked,
     eigen-decomposed and packed on its own: the same projector, margins,
     stall and settle rules, one block at a time."""
@@ -245,7 +245,7 @@ def per_cone_solve_feasibility(sys, budget=None, start=None, callback=None,
         xi_z = xi_z + bz - az
         if feasible:
             step = np.hypot(np.linalg.norm(bx - ax), np.linalg.norm(bz - az))
-            if step <= settle * (1.0 + np.hypot(np.linalg.norm(xi_x), np.linalg.norm(xi_z))):
+            if step <= SETTLE_RTOL * (1.0 + np.hypot(np.linalg.norm(xi_x), np.linalg.norm(xi_z))):
                 break
 
     if found is not None:

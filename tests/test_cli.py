@@ -410,8 +410,9 @@ def dt4_path(tmp_path):
 @pytest.mark.parametrize("argv", [["gain", "--tol", "0"], ["gain", "--tol=-1"],
                                   ["gain", "--tol", "nan"], ["gain", "--tol", "inf"]])
 def test_nonpositive_nan_or_infinite_tol_exit_one(dt4_path, argv, capsys):
-    # a nonpositive tol can never settle the gain solve, and an infinite one
-    # stops it at the first feasible sweep; the error names the flag
+    # tol is the gain solve's relative gap: a nonpositive one can never be
+    # met, and an infinite one would stop at the first centre; the error
+    # names the flag
     assert main(argv + ["--model", dt4_path]) == 1
     assert "error: tol must be" in capsys.readouterr().err
 

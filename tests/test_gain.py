@@ -5,6 +5,8 @@ from lssbalred import (
     GrammianPair,
     InfeasibleError,
     check_membership,
+    compute_pair,
+    dual_system,
     empirical_gain,
     empirical_hankel_gain,
     gamma_feasible,
@@ -13,8 +15,9 @@ from lssbalred import (
     lmi_grammian,
     minimize,
     random_stable_model,
+    reduce_model,
 )
-from lssbalred.model import pad_with_dead_states
+from lssbalred.model import difference_system, pad_with_dead_states
 from conftest import scalar_model
 from residual_oracles import bisection_gain, gain_residual
 
@@ -73,6 +76,16 @@ class TestBisection:
         assert gamma <= oracle * (1.0 + tol)
         assert cert.gamma == gamma
         assert check_membership(model, cert.P, "G", gamma).member()
+
+    def test_error_system_of_a_reduction_is_certified(self):
+        """A 12-state error system whose min-gamma^2 solve by Douglas-Rachford
+        ran its whole budget without a certificate, though gamma* = 3.3005."""
+        model = random_stable_model("discrete", 8, 2, m=1, p=1, kind="strong", seed=2)
+        red = reduce_model(model, compute_pair(model, "nice"), order=4).reduced_model
+        E = dual_system(difference_system(model, red))
+        gamma, cert = l2_gain_upper_bound(E)
+        assert gamma <= 3.31
+        assert check_membership(E, cert.P, "G", gamma).member()
 
     def test_two_mode_ct_upper_bounds_empirical_gain(self):
         model = random_stable_model("continuous", 3, 2, kind="quadratic", seed=33)

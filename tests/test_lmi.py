@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lssbalred import (
     AffineLmiSystem,
     Certificate,
+    InfeasibleError,
     LmiBlock,
     LmiTerm,
     LssModel,
@@ -20,8 +21,9 @@ from lssbalred import (
     strong_implies_quadratic_witness,
     tighten_trace,
 )
+from lssbalred import lmi
 from lssbalred._linalg import svec, svec_dim, sym_basis, symmetrize
-from lssbalred.lmi import MARGIN_SCALE_FACTOR, _CompiledSystem, lifted_gain_system
+from lssbalred.lmi import MARGIN_SCALE_FACTOR, _CompiledSystem, lifted_gain_system, minimize
 from residual_oracles import (
     family_residuals,
     per_cone_solve_feasibility,
@@ -436,3 +438,53 @@ def test_one_eigen_call_per_cone_size_per_sweep(monkeypatch):
     result = solve_feasibility(sys, objective=corner)
     assert result.feasible
     assert calls == {"eigh": result.iterations, "eigvalsh": result.iterations}
+
+
+class TestMinimize:
+    """The interior-point solve: its P re-verifies at the solver margin, its
+    optimum is no worse than the Douglas-Rachford one, and its phase 1 names
+    s when no point clears the margin."""
+
+    MODEL = random_stable_model("discrete", 4, 3, m=2, p=3, seed=71)  # gamma* = 9.4657
+
+    @staticmethod
+    def assert_clears_margin(sys, result):
+        assert result.feasible
+        assert sys.residual(result.solution) <= -result.margin
+        assert np.linalg.eigvalsh(result.solution)[0] >= result.margin
+
+    @pytest.mark.parametrize("family", ["C", "O", "Csum"])
+    def test_min_trace_no_worse_than_douglas_rachford(self, family):
+        # the Csum solve runs Douglas-Rachford's whole objective budget
+        sys = family_system(self.MODEL, family)
+        got = minimize(sys, np.eye(4))
+        ref = solve_feasibility(sys, objective=np.eye(4))
+        self.assert_clears_margin(sys, got)
+        assert ref.feasible and np.trace(got.solution) <= np.trace(ref.solution)
+
+    def test_block_order_leaves_the_optimum(self):
+        """Cones of two sizes, interleaved, so the stacks by size are not in
+        block order."""
+        gain = family_system(self.MODEL, "G", 20.0).blocks
+        obs = family_system(self.MODEL, "O").blocks
+        mixed = AffineLmiSystem(4, tuple(b for pair in zip(gain, obs) for b in pair))
+        got = minimize(mixed, np.eye(4))
+        ref = minimize(AffineLmiSystem(4, obs + gain), np.eye(4))
+        self.assert_clears_margin(mixed, got)
+        assert np.trace(got.solution) == pytest.approx(np.trace(ref.solution), rel=1e-5)
+
+    def test_strictly_feasible_start_skips_phase_one(self, monkeypatch):
+        sys = family_system(self.MODEL, "O")
+        cold = minimize(sys, np.eye(4))
+
+        def phase1(*args):
+            raise AssertionError("phase 1 ran from a strictly feasible start")
+
+        monkeypatch.setattr(lmi, "_phase1", phase1)
+        warm = minimize(sys, np.eye(4), start=2.0 * cold.solution)
+        self.assert_clears_margin(sys, warm)
+        assert np.trace(warm.solution) == pytest.approx(np.trace(cold.solution), rel=1e-5)
+
+    def test_phase_one_names_s_when_no_point_clears(self):
+        with pytest.raises(InfeasibleError, match=r"phase 1 ended at s = \S+ > 0"):
+            minimize(family_system(self.MODEL, "G", 5.0), np.eye(4))
