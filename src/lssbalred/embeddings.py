@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_eig, min_eig, stein_radius, stein_solve
 from .lmi import check_membership
 from .model import DISCRETE, LssModel, require_discrete
 from .realization import is_minimal, subspace_closure
@@ -126,43 +125,6 @@ def check_beck_grammian_projection(model, blockP, blockQ):
         check_membership(model, P1, "C").worst,
         check_membership(model, Q1, "O").worst,
     )
-
-
-def feasible_block_pair(model):
-    """Construct block-diagonal grammians of the uncertain embedding.
-
-    Requires the D-inflated Stein radius (that of the modes sqrt(D) A_q) < 1,
-    strictly stronger than strong stability for D > 1; the hub blocks solve
-    inflated mode-summed Stein equations and the satellite blocks dominate
-    the Gram cross terms, so the embedded inequalities hold with margin.
-    """
-    require_discrete(model)
-    D, n = model.num_modes, model.n
-    As = [math.sqrt(D) * A for A in model.A]
-    rho = stein_radius(As)
-    if rho >= 1.0:
-        raise ValueError(
-            f"D-inflated Kronecker radius {rho:.4g} >= 1; no block construction"
-        )
-    c = 1e-3 * max(1.0, max(float(np.max(np.abs(B))) for B in model.B)) ** 2
-    gram_norm = max_eig(sum(A @ A.T for A in model.A))
-    c2 = c / (2.0 * max(1.0, gram_norm))
-
-    GB, GC = model.gram_sums()
-    GB = GB + (c2 * gram_norm + c) * np.eye(n)
-    P1 = stein_solve(As, GB)
-    blockP = [P1] + [D * P1 + c2 * np.eye(n) for _ in range(D)]
-
-    GC = D * GC + (D * c2 + c) * np.eye(n)
-    Q1raw = stein_solve([A.T for A in As], GC)
-    # Q1 solves Q1 = D sum A^T Q1 A + GC, satellites dominate the Gram grid.
-    blockQ = [Q1raw] + [
-        D * (model.A[q].T @ Q1raw @ model.A[q] + model.C[q].T @ model.C[q]) + c2 * np.eye(n)
-        for q in range(D)
-    ]
-    if min(min_eig(b) for b in blockP + blockQ) <= 0:
-        raise ValueError("construction produced a non-PD block")
-    return blockP, blockQ
 
 
 # ---------------------------------------------------------------------------

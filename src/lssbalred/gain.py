@@ -14,15 +14,16 @@ worst-case output/input energy ratio over all switching signals is at most
 gamma.  The block is affine in (P, t = gamma^2), so the smallest certified
 gamma is the optimum of one LMI program: :func:`l2_gain_upper_bound` solves
 min t over :func:`lssbalred.lmi.lifted_gain_system` once, by the
-interior-point method :func:`lssbalred.lmi.minimize`, and re-verifies the
-certificate at gamma = sqrt(t), so the result is always a sound upper bound.
-Its `tol` is a relative barrier gap: the solve ends once gamma^2 is known
-within 1e-3 * tol of the optimum of the margin program.  No certificate is
-reported when phase 1 of that solve ends with s > 0: then no point of the
-gain family, up to 1e8 times the start's trace, clears the solver margin,
-which is how a model that is not quadratically stable is rejected.
-:func:`gamma_feasible` answers one fixed gamma by the Douglas-Rachford
-solver.
+primal-dual interior-point method :func:`lssbalred.lmi.minimize`, and
+re-verifies the certificate at gamma = sqrt(t), so the result is always a
+sound upper bound.  Its `tol` bounds a relative duality gap: the solve ends
+once gamma^2 exceeds the dual objective by at most 1e-3 * tol * gamma^2, so
+gamma^2 is within that of the optimum of the margin program.  No
+certificate is reported when phase 1 of that solve ends with s > 0: then no
+point of the gain family, up to 1e8 times the start's trace, clears the
+solver margin, which is how a model that is not quadratically stable is
+rejected.  :func:`gamma_feasible` answers one fixed gamma by the
+Douglas-Rachford solver.
 """
 
 import numpy as np
@@ -49,11 +50,12 @@ def l2_gain_upper_bound(model, tol=1e-3):
     guess = max_q |B_q| |C_q|.  Its phase 1 decides feasibility: a model
     with no point of the gain family at the solver margin (one that is not
     quadratically stable, for instance) raises InfeasibleError naming the
-    phase-1 value s > 0.  The solve stops once its barrier gap bounds
-    gamma^2 within a relative 1e-3 * `tol` of the optimum of the margin
-    program.  Returns (gamma_star, certificate), where the certificate was
-    verified at gamma_star, its P is positive definite, and the true gain is
-    at most gamma_star.  `tol` is finite, > 0.
+    phase-1 value s > 0.  The solve stops once its relative duality gap is
+    at most 1e-3 * `tol`, so gamma^2 is within a relative 1e-3 * `tol` of
+    the optimum of the margin program.  Returns (gamma_star, certificate),
+    where the certificate was verified at gamma_star, its P is positive
+    definite, and the true gain is at most gamma_star.  `tol` is finite,
+    > 0.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")

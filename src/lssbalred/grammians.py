@@ -52,8 +52,9 @@ _FAMILY = {CONTROLLABILITY: "C", OBSERVABILITY: "O"}
 
 
 def lmi_grammian(model, kind, tighten=True):
-    """Grammian via the LMI solver: one feasibility solve, then by default
-    one min tr P solve warm-started from it."""
+    """Grammian via the LMI solvers: one Douglas-Rachford feasibility solve,
+    then by default one interior-point min tr P solve started from it
+    (:func:`lssbalred.lmi.tighten_trace`)."""
     if kind not in _FAMILY:
         raise ValueError(f"unknown grammian kind {kind!r}")
     sys = family_system(model, _FAMILY[kind])

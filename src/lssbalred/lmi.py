@@ -15,21 +15,23 @@ evaluate those blocks.  There are two solvers over the same compiled system.
 
 :func:`solve_feasibility` runs Douglas-Rachford splitting between the affine
 graph {(P, F_1(P), ..., F_m(P))} and the product of shifted semidefinite
-cones.  Compiling a system evaluates every block once on the stacked
-symmetric basis, precomputes the graph projector and groups the cones by
-size, so a sweep costs two matrix-vector products in the symmetric
-vectorization plus one eigvalsh (the feasibility test) and one eigh (the
-clip onto the cones) on each stack of equal-size cones.  A linear objective
-<W, P> only shifts the graph projection's target, so trace-tightened
-grammians (min tr P) take one solve.  "Infeasible" means no certificate was
-found within the iteration budget.
+cones, for a feasible point only.  Compiling a system evaluates every block
+once on the stacked symmetric basis, precomputes the graph projector and
+groups the cones by size, so a sweep costs two matrix-vector products in
+the symmetric vectorization plus one eigvalsh (the feasibility test) and
+one eigh (the clip onto the cones) on each stack of equal-size cones.
+"Infeasible" means no certificate was found within the iteration budget.
 
-:func:`minimize` is a log-barrier interior-point method for min <W, P> over
-the same cones, with a phase 1 that decides feasibility; the certified gain
-(min gamma^2 over :func:`lifted_gain_system`) takes one such solve.
+:func:`minimize` is a primal-dual interior-point method for min <W, P> over
+the same cones (Nesterov-Todd scaling, Mehrotra's predictor-corrector),
+with a phase 1 that decides feasibility; its `rtol` is a relative duality
+gap.  The certified gain (min gamma^2 over :func:`lifted_gain_system`) and
+every trace-tightened grammian (min tr P, :func:`tighten_trace`) take one
+such solve.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,19 +50,14 @@ from .errors import InfeasibleError
 from .model import dual_system, require_discrete
 
 DEFAULT_BUDGET = 5000
-OBJECTIVE_BUDGET = 20000
-OBJECTIVE_STEP = 0.2  # DR step on the objective, in units of the data scale
 MARGIN_SCALE_FACTOR = 1e-7
 STALL_WINDOW = 300  # sweeps without STALL_RTOL relative progress end a feasibility solve
 STALL_RTOL = 1e-3
-SETTLE_RTOL = 1e-5  # a feasible DR step this small relative to the iterate ends an objective solve
-NEWTON_BUDGET = 500  # Newton steps per minimize call, both phases
-BARRIER_GROWTH = 20.0  # factor on the barrier weight t per centering
-CENTERED = 1e-8  # half the squared Newton decrement that ends a centering
-ARMIJO = 0.25  # accepted steps lower the value by this fraction of the linear prediction
-MIN_STEP = 1e-10  # shortest backtracked step before a centering gives up
+ITERATION_BUDGET = 100  # interior-point iterations per run of minimize and per phase 1
 PHASE1_REACH = 1e8  # phase 1 searches P up to this times 1 + tr of the start
-ROUNDING = 1e-13  # a step whose decrease is at most this times |value| ends a centering
+INFEASIBLE_SIGMA = 0.1  # least centring weight while the primal residual is not 0
+DIVERGED = 1e6  # a run ends once mu passes this times its start
+PHASE1_RESIDUAL = 1e-9  # a phase-1 dual bound counts once its residual norm is below this
 
 
 @dataclass(frozen=True)
@@ -260,9 +257,10 @@ class _CompiledSystem:
     scale.  The block maps are stacked into one matrix M with stacked
     constant c, so all block images of x are M x + c.  The projection of
     (x, z) onto the graph {(a, M a + c)} is a = G^-1 (x + M^T (z - c)) with
-    Gram matrix G = I + M^T M >= I; G^-1 comes from one Cholesky factor per
-    compile, so projecting is one matvec on the stacked point [x; z] minus
-    a fixed offset, and a second gives the block images M a + c.
+    Gram matrix G = I + M^T M >= I; G^-1 comes from one Cholesky factor,
+    computed at the first projection, so projecting is one matvec on the
+    stacked point [x; z] minus a fixed offset, and a second gives the block
+    images M a + c.
 
     The cones of a stacked point are P (cone 0, a floor) and the blocks
     (cones 1..m, ceilings).  Cones of equal size k share one table: a
@@ -285,10 +283,6 @@ class _CompiledSystem:
             consts.append(svec(symmetrize(b.constant)))
         self.maps = np.vstack(maps)
         self.consts = np.concatenate(consts)
-        chol_inv = np.linalg.inv(np.linalg.cholesky(np.eye(d) + self.maps.T @ self.maps))
-        gram_inv = chol_inv.T @ chol_inv
-        self.projector = np.hstack([gram_inv, gram_inv @ self.maps.T])
-        self.offset = self.projector[:, d:] @ self.consts
         sizes = [n] + [b.size for b in sys.blocks]
         starts = np.cumsum([0] + [svec_dim(k) for k in sizes])
         self.cones = []  # per size, cone 0's first: (gather, divisor, svec positions, floor)
@@ -301,6 +295,16 @@ class _CompiledSystem:
             divisor = np.empty((k, k))
             divisor[rows, cols] = divisor[cols, rows] = scale
             self.cones.append((gather, divisor, positions, (ids == 0)[:, None]))
+
+    @cached_property
+    def projector(self):
+        chol_inv = np.linalg.inv(np.linalg.cholesky(np.eye(self.d) + self.maps.T @ self.maps))
+        gram_inv = chol_inv.T @ chol_inv
+        return np.hstack([gram_inv, gram_inv @ self.maps.T])
+
+    @cached_property
+    def offset(self):
+        return self.projector[:, self.d:] @ self.consts
 
     def images(self, x):
         """Stacked svec images of all blocks at svec point x."""
@@ -316,33 +320,28 @@ class _CompiledSystem:
         return [v[gather] / divisor for gather, divisor, _, _ in self.cones]
 
 
-def solve_feasibility(sys, budget=None, start=None, callback=None, objective=None):
+def solve_feasibility(sys, budget=None, start=None, callback=None):
     """Search for P > 0 satisfying every block of `sys` with margin
-    MARGIN_SCALE_FACTOR * data_scale, minimising <objective, P> if a
-    symmetric weight `objective` is given.
+    MARGIN_SCALE_FACTOR * data_scale.
 
     Douglas-Rachford splitting between the affine graph
     {(P, F_1(P), ..., F_m(P))} and the product of shifted semidefinite cones;
     the graph projection is one matvec with the projector precomputed when
     the system is compiled, the cone projections clip eigenvalues, one
-    stacked eigh per cone size.  An objective W shifts the projection's
-    target by -OBJECTIVE_STEP * data_scale * W.  Feasibility is tested on
-    the graph point each sweep, so `status="feasible"` guarantees that
-    re-evaluating the blocks at the returned P gives max eigenvalue
-    <= -margin and min eig(P) >= margin.
+    stacked eigh per cone size.  Feasibility is tested on the graph point
+    each sweep, so `status="feasible"` guarantees that re-evaluating the
+    blocks at the returned P gives max eigenvalue <= -margin and
+    min eig(P) >= margin.
 
-    Without an objective the first feasible point is returned, else the
-    budget (DEFAULT_BUDGET if None) ran out or the violation stopped
-    improving: STALL_WINDOW sweeps passed without a drop below
-    (1 - STALL_RTOL) times its last mark.  With one, the lowest-objective
-    feasible point is returned once a feasible sweep's DR step is at most
-    SETTLE_RTOL * (1 + |xi|) or the budget (OBJECTIVE_BUDGET if None) runs
-    out.  No negative result is a certificate of infeasibility.
+    The first feasible point is returned, else the budget (DEFAULT_BUDGET
+    if None) ran out or the violation stopped improving: STALL_WINDOW
+    sweeps passed without a drop below (1 - STALL_RTOL) times its last
+    mark.  No negative result is a certificate of infeasibility.
     """
     n = sys.n
     scale = sys.data_scale()
     if budget is None:
-        budget = DEFAULT_BUDGET if objective is None else OBJECTIVE_BUDGET
+        budget = DEFAULT_BUDGET
     margin = MARGIN_SCALE_FACTOR * scale
     # Project onto slightly deeper cones so that acceptance at `margin`
     # triggers at a finite iterate.
@@ -350,7 +349,6 @@ def solve_feasibility(sys, budget=None, start=None, callback=None, objective=Non
     deep = margin + gap
 
     compiled = _CompiledSystem(sys)
-    d = compiled.d
     # Clip bounds per cone: P >= deep I, every block <= -deep I.
     bounds = [(np.where(floor, deep, -np.inf), np.where(floor, np.inf, -deep))
               for _, _, _, floor in compiled.cones]
@@ -359,20 +357,16 @@ def solve_feasibility(sys, budget=None, start=None, callback=None, objective=Non
     else:
         P0 = np.eye(n)
     xi = np.concatenate((svec(P0), compiled.images(svec(P0))))
-    if objective is not None:
-        weight = svec(require_symmetric(np.asarray(objective, dtype=float), what="objective"))
-        shift = np.concatenate((OBJECTIVE_STEP * scale * weight, np.zeros(xi.size - d)))
 
     best_violation = np.inf
     best_P = None
-    found = None  # (objective value, P, residual) of the best feasible point
     iterations = 0
     stall_mark = np.inf
     stall_at = 0
     for it in range(1, budget + 1):
         iterations = it
         # Projection onto the affine graph, then the eigenvalues of every cone.
-        a = compiled.graph_project(xi if objective is None else xi - shift)
+        a = compiled.graph_project(xi)
         stacks = compiled.unpack(a)
         eigs = [np.linalg.eigvalsh(S) for S in stacks]
         P = stacks[0][0]
@@ -384,17 +378,13 @@ def solve_feasibility(sys, budget=None, start=None, callback=None, objective=Non
             best_P = P
         if callback is not None:
             callback(it, res)
-        feasible = res <= -margin and pmin >= margin
-        if objective is None:
-            if feasible:
-                return FeasibilityResult("feasible", P, res, it, margin)
-            if violation < stall_mark * (1.0 - STALL_RTOL):
-                stall_mark = violation
-                stall_at = it
-            elif it - stall_at >= STALL_WINDOW:
-                break
-        elif feasible and (found is None or weight @ a[:d] < found[0]):
-            found = (weight @ a[:d], P, res)
+        if res <= -margin and pmin >= margin:
+            return FeasibilityResult("feasible", P, res, it, margin)
+        if violation < stall_mark * (1.0 - STALL_RTOL):
+            stall_mark = violation
+            stall_at = it
+        elif it - stall_at >= STALL_WINDOW:
+            break
         # Reflect, project onto the cones, average.
         b = np.empty_like(a)
         for (_, _, positions, _), (lo, hi), S in zip(compiled.cones, bounds,
@@ -402,170 +392,219 @@ def solve_feasibility(sys, budget=None, start=None, callback=None, objective=Non
             w, V = np.linalg.eigh(S)
             b[positions] = svec((V * np.clip(w, lo, hi)[:, None, :]) @ V.swapaxes(1, 2))
         xi = xi + b - a
-        if feasible:  # with an objective: stop once the DR step settles
-            step = np.hypot(np.linalg.norm(b[:d] - a[:d]), np.linalg.norm(b[d:] - a[d:]))
-            size = np.hypot(np.linalg.norm(xi[:d]), np.linalg.norm(xi[d:]))
-            if step <= SETTLE_RTOL * (1.0 + size):
-                break
 
-    if found is not None:
-        return FeasibilityResult("feasible", found[1], found[2], iterations, margin)
     res = sys.residual(best_P) if best_P is not None else np.inf
     return FeasibilityResult("infeasible_within_budget", None, res, iterations, margin)
 
 
 def tighten_trace(sys, seed_solution):
-    """The smallest-trace point of `sys` found by one min tr P solve at the
-    solver's own margin, warm-started from a feasible `seed_solution`; the
-    seed itself if the solve finds nothing of smaller trace."""
+    """The smallest-trace point of `sys` found by one min tr P solve
+    (:func:`minimize`) started from a feasible `seed_solution`; the seed
+    itself if the solve finds nothing of smaller trace."""
     seed_solution = require_symmetric(seed_solution, what="seed solution")
-    result = solve_feasibility(sys, start=seed_solution, objective=np.eye(sys.n))
-    if result.feasible and np.trace(result.solution) < np.trace(seed_solution):
-        return result.solution
-    return seed_solution
+    P = minimize(sys, np.eye(sys.n), start=seed_solution).solution
+    return P if np.trace(P) < np.trace(seed_solution) else seed_solution
 
 
-class _Barrier:
-    """-sum_j log det S_j(y) over cone slacks stacked in svec as B y + b,
-    with `cones` tables like _CompiledSystem.cones.  The columns of B,
-    unpacked once into cone matrices G_a, give the Newton system densely:
-    with S_j = L_j L_j^T and Y_a = L_j^-1 G_a L_j^-T, the Hessian is
-    H_ab = sum_j tr(W_j G_a W_j G_b) = sum_j <Y_a, Y_b> (W_j = S_j^-1) and
-    the gradient is -sum_j <Y_a, I>.  When rounding leaves H = Y Y^T
-    indefinite (its condition number is the square of Y's), a QR factor of
-    the stacked svec(Y_a) solves the system instead."""
+class _Cones:
+    """The cones of stacked svec vectors of length N, by tables like
+    _CompiledSystem.cones: `unpack` keeps leading axes, giving per size a
+    (..., count, k, k) stack, and `pack` inverts it."""
 
-    def __init__(self, cones, B, b):
-        self.cones, self.B, self.b = cones, B, b
-        self.images = self.unpack(B.T)  # per cone size: (p, count, k, k)
-        # svec(I) of every cone, in the order of the stacks
-        self.identity = np.concatenate([np.tile(svec(np.eye(g.shape[1])), g.shape[0])
-                                        for g, _, _, _ in cones])
+    def __init__(self, tables, N):
+        self.tables, self.N = tables, N
+        self.identity = self.pack([np.broadcast_to(np.eye(g.shape[1]), g.shape)
+                                   for g, _, _, _ in tables])
 
     def unpack(self, v):
-        """As _CompiledSystem.unpack, keeping leading axes: the (p, N) columns
-        of B give (p, count, k, k) stacks."""
-        return [v[..., gather] / divisor for gather, divisor, _, _ in self.cones]
+        return [v[..., gather] / divisor for gather, divisor, _, _ in self.tables]
 
-    def factor(self, y):
-        """Cholesky factors of the slacks at y, one stack per cone size, or
-        None if y is outside the domain."""
+    def pack(self, stacks):
+        v = np.empty(stacks[0].shape[:-3] + (self.N,))
+        for (_, _, positions, _), S in zip(self.tables, stacks):
+            v[..., positions] = svec(S)
+        return v
+
+    def factor(self, v):
+        """Cholesky factors of the cone matrices of v, one stack per size,
+        or None if one is not positive definite."""
         try:
-            return [np.linalg.cholesky(S) for S in self.unpack(self.B @ y + self.b)]
+            return [np.linalg.cholesky(S) for S in self.unpack(v)]
         except np.linalg.LinAlgError:
             return None
 
-    @staticmethod
-    def value(factors):
-        return -2.0 * sum(float(np.log(np.diagonal(L, axis1=1, axis2=2)).sum()) for L in factors)
 
-    def newton(self, factors, c):
-        """The Newton step of <c, y> + barrier at the point with these
-        factors, and its slope: minus the squared Newton decrement."""
-        p = self.B.shape[1]
-        Y = []
-        for L, G in zip(factors, self.images):
-            L_inv = np.linalg.inv(L)
-            Y.append(svec(L_inv @ G @ L_inv.swapaxes(1, 2)).reshape(p, -1))
-        Y = np.hstack(Y)
-        grad = c - Y @ self.identity
-        H = Y @ Y.T
+def _steps(lam, dS, dZ, fraction):
+    """The primal and dual steps, at most 1, that go `fraction` of the way
+    to the boundary along dS from diag(lam) and along dZ from diag(lam), in
+    every cone; per size a (count, k) lam and (count, k, k) stacks."""
+    worst = np.zeros(2)  # the lowest eigenvalue of diag(lam)^-1/2 D diag(lam)^-1/2, or 0
+    for lg, Sg, Zg in zip(lam, dS, dZ):
+        low = np.linalg.eigvalsh(np.stack((Sg, Zg)) / np.sqrt(lg[:, :, None] * lg[:, None, :]))
+        worst = np.minimum(worst, low[..., 0].min(axis=1))
+    return fraction / np.maximum(-worst, fraction)
+
+
+def _path_follow(cones, A, a, c, y, s, gap):
+    """Primal-dual interior-point iterates for min <c, y> over the slack
+    s = A y + a in `cones`, from y, an interior slack s and the dual
+    z = mu S^-1 on its central path, mu = gap / K with K the sum of the
+    cone sizes.  The dual, max <-a, z> over A^T z = c with z in the cones,
+    is entered infeasible; so is the primal when s is not A y + a.  Each
+    residual, r = c - A^T z and A y + a - s, shrinks by the factor
+    1 - step of its side.
+
+    Each iteration takes the Nesterov-Todd scaling of every cone: from
+    S = L L^T, Z = R R^T and the SVD R^T L = U diag(lam) V^T,
+    G^-1 = diag(lam)^-1/2 U^T R^T scales both S and Z to diag(lam).  With
+    Y_a = svec(G^-1 A_a G^-T) over the columns A_a of A, unpacked, the
+    Schur complement is H = Y Y^T, and a scaled complementarity target M
+    gives the direction H dy = Y (M - q) - r, dS~ = Y^T dy + q,
+    dZ~ = M - dS~, where q is the primal residual scaled by G^-1.  A QR
+    factor of Y^T stands in for the Cholesky factor of H when rounding
+    leaves H indefinite.  Mehrotra's predictor (M = -diag(lam)) sets
+    sigma = (mu_aff / mu)^3; the corrector aims at sigma mu I less the
+    predictor's second-order term, by the same factor of H.  Primal and
+    dual each step to 0.9 + 0.09 min(predictor steps) of the boundary.
+
+    Once an iterate's own slack A y + a is interior it becomes s, so the
+    primal residual is 0 from then on; until then sigma is at least
+    INFEASIBLE_SIGMA, so that mu does not fall faster than the residual.
+    Yields (y, s, z, whether s is the own slack) after every iteration;
+    ends when a slack or dual Cholesky factor fails, that is, once rounding
+    has reached the boundary, or once mu = <S, Z> / K passes DIVERGED times
+    its start, as it does when the primal has no feasible point.
+    """
+    images = cones.unpack(A.T)  # per size: (p, count, k, k)
+    K = float(cones.identity @ cones.identity)
+    mu_start = gap / K
+    L = cones.factor(s)
+    if L is None:
+        return
+    z = mu_start * cones.pack([np.linalg.inv(S) for S in cones.unpack(s)])
+    while True:
+        R = cones.factor(z)
+        if R is None:
+            return
+        lam, G_inv = [], []
+        for Lg, Rg in zip(L, R):
+            U, lg, _ = np.linalg.svd(Rg.swapaxes(1, 2) @ Lg)
+            lam.append(lg)
+            G_inv.append((U * lg[:, None, :] ** -0.5).swapaxes(1, 2) @ Rg.swapaxes(1, 2))
+        Y = cones.pack([Gi @ Ga @ Gi.swapaxes(1, 2) for Gi, Ga in zip(G_inv, images)])
         try:
-            np.linalg.cholesky(H)
-            step = -np.linalg.solve(H, grad)
+            C = np.linalg.cholesky(Y @ Y.T)
         except np.linalg.LinAlgError:  # rounding left H indefinite
-            R = np.linalg.qr(Y.T, mode="r")
-            step = -np.linalg.solve(R, np.linalg.solve(R.T, grad))
-        return step, float(grad @ step)
+            C = np.linalg.qr(Y.T, mode="r").T
+        C_inv = np.linalg.inv(C)
+        r = c - A.T @ z
+        residual = A @ y + a - s
+        q = cones.pack([Gi @ Pg @ Gi.swapaxes(1, 2)
+                        for Gi, Pg in zip(G_inv, cones.unpack(residual))])
+        Lam = [lg[:, :, None] * np.eye(lg.shape[1]) for lg in lam]
+        mu = sum(float((lg**2).sum()) for lg in lam) / K
+        if not mu <= DIVERGED * mu_start:
+            return
+
+        def direction(M):
+            dy = C_inv.T @ (C_inv @ (Y @ (cones.pack(M) - q) - r))
+            dS = cones.unpack(Y.T @ dy + q)
+            return dy, dS, [Mg - Sg for Mg, Sg in zip(M, dS)]
+
+        _, dS, dZ = direction([-Lg for Lg in Lam])
+        ap, ad = _steps(lam, dS, dZ, 1.0)
+        mu_aff = sum(float(np.sum((Lg + ap * Sg) * (Lg + ad * Zg)))
+                     for Lg, Sg, Zg in zip(Lam, dS, dZ)) / K
+        sigma = min(1.0, mu_aff / mu) ** 3
+        if residual.any():  # no faster than the primal residual falls
+            sigma = max(sigma, INFEASIBLE_SIGMA)
+        target = []
+        for lg, Lg, Sg, Zg in zip(lam, Lam, dS, dZ):
+            SZ = Sg @ Zg
+            T = sigma * mu * np.eye(lg.shape[1]) - Lg**2 - 0.5 * (SZ + SZ.swapaxes(1, 2))
+            target.append(2.0 * T / (lg[:, :, None] + lg[:, None, :]))
+        dy, dS, dZ = direction(target)
+        ap, ad = _steps(lam, dS, dZ, 0.9 + 0.09 * min(ap, ad))
+        y = y + ap * dy
+        z = z + ad * cones.pack([Gi.swapaxes(1, 2) @ Zg @ Gi for Gi, Zg in zip(G_inv, dZ)])
+        own = A @ y + a
+        L = cones.factor(own)
+        feasible = L is not None
+        if not feasible:
+            own = s + ap * (A @ dy + residual)
+            L = cones.factor(own)
+            if L is None:
+                return
+        s = own
+        yield y, s, z, feasible
 
 
-def _center(barrier, c, y, budget):
-    """Damped Newton steps on <c, y> + barrier(y) from the interior point y,
-    each with an Armijo backtracking search that takes a failed Cholesky as
-    outside the domain.  Ends when the Newton decrement is below CENTERED,
-    a step's decrease is within rounding of the value, no step is found or
-    `budget` steps are taken; returns (y, steps)."""
-    factors = barrier.factor(y)
-    f = c @ y + barrier.value(factors)
-    for step in range(budget):
-        dy, slope = barrier.newton(factors, c)
-        if -slope <= 2.0 * CENTERED:
-            return y, step
-        alpha = 1.0
-        while True:
-            trial = y + alpha * dy
-            new = barrier.factor(trial)
-            if new is not None:
-                f_new = c @ trial + barrier.value(new)
-                if f_new <= f + ARMIJO * alpha * slope:
-                    break
-            alpha *= 0.5
-            if alpha < MIN_STEP:
-                return y, step
-        decrease = f - f_new
-        y, factors, f = trial, new, f_new
-        if decrease <= ROUNDING * abs(f):
-            return y, step + 1
-    return y, budget
-
-
-def _phase1(compiled, B, b, eye, trace, x, budget):
+def _phase1(tables, B, b, trace, x):
     """A strictly feasible svec point, from the start x and the feasibility
     problem made homogeneous and compact: over (X, s) with tau = 1 - tr X,
-    minimise s subject to B x + tau b + s I > 0 in every cone and
-    tau > 1 / reach, reach = PHASE1_REACH (1 + |tr X_0|).  Once s < 0,
-    X / tau clears every cone by -s / tau.  Raises InfeasibleError when a
-    centre's barrier gap puts the minimum of s above 0 (no P of trace below
-    reach clears the margin), or when the budget runs out; returns
-    (x, Newton steps)."""
+    minimise s subject to B X + tau b + s I > 0 in every cone of `tables`
+    and tau > 1 / reach, reach = PHASE1_REACH (1 + |tr X_0|), by the
+    iteration of :func:`_path_follow`.  Once s < 0, X / tau clears every
+    cone by -s / tau.  Raises InfeasibleError when the dual bound -<a, z>
+    of an iterate whose dual residual is within PHASE1_RESIDUAL of 0 puts
+    the minimum of s above 0 (no P of trace below reach clears the margin),
+    or when the iteration ends first; returns (x, iterations)."""
     N, d = B.shape
     scale = 1.0 + abs(trace @ x)
     reach = PHASE1_REACH * scale
-    cones = compiled.cones + [(np.full((1, 1, 1), N), np.ones((1, 1)), np.full((1, 1), N), None)]
-    B1 = np.zeros((N + 1, d + 1))
-    B1[:N, :d] = B - np.outer(b, trace)
-    B1[:N, d] = eye
-    B1[N, :d] = -trace
-    barrier = _Barrier(cones, B1, np.r_[b, 1.0 - 1.0 / reach])
-    K = int(barrier.identity.sum())
+    cones = _Cones(tables + [(np.full((1, 1, 1), N), np.ones((1, 1)), np.full((1, 1), N), None)],
+                   N + 1)
+    A = np.zeros((N + 1, d + 1))
+    A[:N, :d] = B - np.outer(b, trace)
+    A[:N, d] = cones.identity[:N]
+    A[N, :d] = -trace
+    a = np.r_[b, 1.0 - 1.0 / reach]
     x = x / scale
-    slacks = barrier.unpack(B1[:, :d] @ x + barrier.b)
-    lowest = min(float(np.linalg.eigvalsh(S)[:, 0].min()) for S in slacks)
+    lowest = min(float(np.linalg.eigvalsh(S)[:, 0].min())
+                 for S in cones.unpack(A[:, :d] @ x + a))
     y = np.r_[x, 2.0 * abs(lowest) + 1.0 - trace @ x]  # every slack at least tau
-    t = K / y[-1]
-    steps = 0
-    while steps < budget:
-        y, k = _center(barrier, t * np.r_[np.zeros(d), 1.0], y, budget - steps)
-        steps += max(k, 1)  # a centering without a step still counts, so t stays bounded
+    c = np.eye(d + 1)[d]
+    iterations = 0
+    for y, _, z, _ in _path_follow(cones, A, a, c, y, A @ y + a, y[-1]):
+        iterations += 1
         if y[-1] < 0:
-            return y[:d] / (1.0 - trace @ y[:d]), steps
-        if y[-1] > 2.0 * K / t:
+            return y[:d] / (1.0 - trace @ y[:d]), iterations
+        bound = -a @ z
+        if bound > 0 and np.linalg.norm(c - A.T @ z) <= PHASE1_RESIDUAL:
             raise InfeasibleError(
-                f"phase 1 ended at s = {y[-1]:.3g} > 0 after {steps} Newton steps: its barrier "
-                f"gap bounds s above 0, so no P of trace below {reach:.3g} clears the solver margin")
-        t *= BARRIER_GROWTH
-    raise InfeasibleError(f"phase 1 ended at s = {y[-1]:.3g} > 0: its budget of {budget} "
-                          f"Newton steps ran out")
+                f"phase 1 ended at s = {y[-1]:.3g} > 0 after {iterations} iterations: its dual "
+                f"bound {bound:.3g} puts s above 0, so no P of trace below {reach:.3g} clears "
+                f"the solver margin")
+        if iterations == ITERATION_BUDGET:
+            break
+    raise InfeasibleError(f"phase 1 ended at s = {y[-1]:.3g} > 0 after {iterations} iterations "
+                          f"with no dual bound above 0")
 
 
 def minimize(sys, objective, start=None, rtol=1e-6):
     """The smallest <objective, P> over the points of `sys` with margin
-    MARGIN_SCALE_FACTOR * data_scale, by a log-barrier interior-point method.
+    MARGIN_SCALE_FACTOR * data_scale, by a primal-dual interior-point
+    method over the slacks S_0 = P - margin I and S_j = -margin I - F_j(P).
 
-    Minimises t <W, P> + delta tr P - sum_j log det S_j over the slacks
-    S_0 = P - margin I and S_j = -margin I - F_j(P), of sizes k_j, with
-    damped Newton steps (see _center), and raises t by BARRIER_GROWTH per
-    centering until the centre's gap bound (K + delta tr P) / t,
-    K = sum_j k_j, is at most `rtol` * |<W, P>|.  The term delta tr P,
-    delta = K / tr P at the first centre's start, keeps a centre finite
-    when the objective leaves a direction free (a state no input reaches,
-    say).  A `start` (identity if None) that is not strictly inside first
-    goes through phase 1 (see _phase1), which raises InfeasibleError naming
-    its s when it ends with s > 0: no point clears the margin.
+    A run is the iteration of :func:`_path_follow` (Nesterov-Todd
+    scaling, Mehrotra's predictor-corrector) with the dual started at
+    mu S^-1, mu = max(|<W, P>|, |S|^2 / K, margin) / K, K = sum_j k_j.  It
+    stops once the relative duality gap, (<S, Z> + |<r, P>|) divided by
+    max(|<W, P>|, margin) with r the dual residual, is at most `rtol` at a
+    strictly feasible P, after ITERATION_BUDGET iterations, or when
+    _path_follow ends.
+
+    A `start` (identity if None) that is strictly inside starts a feasible
+    run.  Any other starts an infeasible one, from its slacks shifted
+    inside by 2 |lowest eigenvalue| + 1; if no iterate of that run is
+    strictly feasible, phase 1 (see _phase1) either finds a feasible start
+    for a second run or raises InfeasibleError naming its s: no point
+    clears the margin.
 
     Returns a feasible FeasibilityResult whose `iterations` counts the
-    Newton steps of both phases; as with solve_feasibility, its P
-    re-evaluates to max block eigenvalue <= -margin and min eig(P) >= margin.
+    iterations of every run, at the last strictly feasible iterate (the
+    start included) whose P re-evaluates to max block eigenvalue
+    <= -margin and min eig(P) >= margin, as with solve_feasibility.
     """
     n = sys.n
     margin = MARGIN_SCALE_FACTOR * sys.data_scale()
@@ -576,33 +615,44 @@ def minimize(sys, objective, start=None, rtol=1e-6):
         P0 = require_symmetric(np.asarray(start, dtype=float), what="start")
     else:
         P0 = np.eye(n)
-    sizes = [n] + [blk.size for blk in sys.blocks]
-    K = sum(sizes)
-    eye = np.concatenate([svec(np.eye(k)) for k in sizes])  # every cone's identity, stacked
     sign = np.r_[np.ones(d), -np.ones(compiled.consts.size)]
-    B = sign[:, None] * np.vstack((np.eye(d), compiled.maps))
-    b = sign * np.r_[np.zeros(d), compiled.consts] - margin * eye
-    barrier = _Barrier(compiled.cones, B, b)
-    trace = svec(np.eye(n))
+    cones = _Cones(compiled.cones, sign.size)
+    K = cones.identity @ cones.identity
+    A = sign[:, None] * np.vstack((np.eye(d), compiled.maps))
+    a = sign * np.r_[np.zeros(d), compiled.consts] - margin * cones.identity
     x = svec(P0)
-    steps = 0
-    if barrier.factor(x) is None:
-        x, steps = _phase1(compiled, B, b, eye, trace, x, NEWTON_BUDGET)
+    iterations = 0
 
-    delta = K / (trace @ x)
-    t = K / max(abs(weight @ x), margin)
-    centres = []
-    while steps < NEWTON_BUDGET:
-        x, k = _center(barrier, t * weight + delta * trace, x, NEWTON_BUDGET - steps)
-        steps += max(k, 1)
-        centres.append(x)
-        if (K + delta * (trace @ x)) / t <= rtol * abs(weight @ x):
-            break
-        t *= BARRIER_GROWTH
-    for x in reversed(centres):  # the last centre that re-verifies
+    def run(x, s, inside):
+        """The strictly feasible iterates of one run from (x, s), after
+        `inside`; counts its iterations."""
+        nonlocal iterations
+        iterates = _path_follow(cones, A, a, weight, x, s, max(abs(weight @ x), s @ s / K, margin))
+        for k, (x, s, z, feasible) in enumerate(iterates, 1):
+            iterations += 1
+            if feasible:
+                inside.append(x)
+                gap = s @ z + abs((weight - A.T @ z) @ x)
+                if gap <= rtol * max(abs(weight @ x), margin):
+                    break
+            if k == ITERATION_BUDGET:
+                break
+        return inside
+
+    s = A @ x + a
+    if cones.factor(s) is not None:
+        inside = run(x, s, [x])
+    else:
+        lowest = min(float(np.linalg.eigvalsh(S)[:, 0].min()) for S in cones.unpack(s))
+        inside = run(x, s + (2.0 * abs(lowest) + 1.0) * cones.identity, [])
+    if not inside:
+        x, steps = _phase1(compiled.cones, A, a, svec(np.eye(n)), x)
+        iterations += steps
+        inside = run(x, A @ x + a, [x])
+    for x in reversed(inside):  # the last iterate that re-verifies
         P = compiled.unpack(np.concatenate((x, compiled.images(x))))[0][0]
         res = sys.residual(P)
         if res <= -margin and min_eig(P) >= margin:
-            return FeasibilityResult("feasible", P, res, steps, margin)
-    raise InfeasibleError(f"no barrier centre within {NEWTON_BUDGET} Newton steps re-verifies "
-                          f"at the solver margin {margin:.3g}")
+            return FeasibilityResult("feasible", P, res, iterations, margin)
+    raise InfeasibleError(f"no interior-point iterate within {ITERATION_BUDGET} iterations "
+                          f"re-verifies at the solver margin {margin:.3g}")

@@ -10,15 +10,19 @@ matrices check :func:`lssbalred._linalg.stein_radius` and
 :func:`lssbalred._linalg.stein_solve` by dense eigenvalues and a dense
 linear solve, O(n^6); keep n <= 32.  :func:`bisection_gain` checks
 :func:`lssbalred.gain.l2_gain_upper_bound` by locating the smallest
-certified gamma with feasibility probes only.
+certified gamma with feasibility probes only.  :func:`feasible_block_pair`
+builds block-diagonal grammians of the uncertain embedding from inflated
+Stein solves, for the projection checks of :mod:`lssbalred.embeddings`.
 :func:`per_cone_solve_feasibility` is the DR loop of
 :func:`lssbalred.lmi.solve_feasibility` with one smat, eigen call and svec
-per cone, which the stacked loop must reproduce bit for bit.  The remaining
-oracles
+per cone, which the stacked loop must reproduce bit for bit; with an
+objective it is the min <W, P> Douglas-Rachford solve that
+:func:`lssbalred.lmi.minimize` must match or beat.  The remaining oracles
 enumerate words, series terms or Schur complements directly and are
 exponential or dense; keep their inputs small.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -29,6 +33,8 @@ from lssbalred._linalg import (
     min_eig,
     mode_sum,
     require_symmetric,
+    stein_radius,
+    stein_solve,
     svec,
     svec_dim,
     svec_index,
@@ -37,9 +43,6 @@ from lssbalred._linalg import (
 from lssbalred.lmi import (
     DEFAULT_BUDGET,
     MARGIN_SCALE_FACTOR,
-    OBJECTIVE_BUDGET,
-    OBJECTIVE_STEP,
-    SETTLE_RTOL,
     STALL_RTOL,
     STALL_WINDOW,
     FeasibilityResult,
@@ -161,6 +164,43 @@ def bisection_gain(model, tol=1e-3, cap=60):
     return best.gamma, best
 
 
+def feasible_block_pair(model):
+    """Construct block-diagonal grammians of the uncertain embedding.
+
+    Requires the D-inflated Stein radius (that of the modes sqrt(D) A_q) < 1,
+    strictly stronger than strong stability for D > 1; the hub blocks solve
+    inflated mode-summed Stein equations and the satellite blocks dominate
+    the Gram cross terms, so the embedded inequalities hold with margin.
+    """
+    require_discrete(model)
+    D, n = model.num_modes, model.n
+    As = [math.sqrt(D) * A for A in model.A]
+    rho = stein_radius(As)
+    if rho >= 1.0:
+        raise ValueError(
+            f"D-inflated Kronecker radius {rho:.4g} >= 1; no block construction"
+        )
+    c = 1e-3 * max(1.0, max(float(np.max(np.abs(B))) for B in model.B)) ** 2
+    gram_norm = max_eig(sum(A @ A.T for A in model.A))
+    c2 = c / (2.0 * max(1.0, gram_norm))
+
+    GB, GC = model.gram_sums()
+    GB = GB + (c2 * gram_norm + c) * np.eye(n)
+    P1 = stein_solve(As, GB)
+    blockP = [P1] + [D * P1 + c2 * np.eye(n) for _ in range(D)]
+
+    GC = D * GC + (D * c2 + c) * np.eye(n)
+    Q1raw = stein_solve([A.T for A in As], GC)
+    # Q1 solves Q1 = D sum A^T Q1 A + GC, satellites dominate the Gram grid.
+    blockQ = [Q1raw] + [
+        D * (model.A[q].T @ Q1raw @ model.A[q] + model.C[q].T @ model.C[q]) + c2 * np.eye(n)
+        for q in range(D)
+    ]
+    if min(min_eig(b) for b in blockP + blockQ) <= 0:
+        raise ValueError("construction produced a non-PD block")
+    return blockP, blockQ
+
+
 def smat(v, n):
     """Inverse of :func:`lssbalred._linalg.svec`."""
     rows, cols, scale = svec_index(n)
@@ -180,10 +220,22 @@ def _clip_spectrum(M, floor=None, ceiling=None):
     return (V * w) @ V.T
 
 
+# The Douglas-Rachford objective mode: sweeps per solve, the step on the
+# objective in units of the data scale, and the feasible step, relative to
+# the iterate, that ends a solve.
+OBJECTIVE_BUDGET = 20000
+OBJECTIVE_STEP = 0.2
+SETTLE_RTOL = 1e-5
+
+
 def per_cone_solve_feasibility(sys, budget=None, start=None, callback=None, objective=None):
     """:func:`lssbalred.lmi.solve_feasibility` with each cone unpacked,
-    eigen-decomposed and packed on its own: the same projector, margins,
-    stall and settle rules, one block at a time."""
+    eigen-decomposed and packed on its own: the same projector, margins and
+    stall rule, one block at a time.  A symmetric weight `objective` shifts
+    the graph projection's target by -OBJECTIVE_STEP * data_scale * W; the
+    lowest-objective feasible point is then returned once a feasible
+    sweep's DR step is at most SETTLE_RTOL * (1 + |xi|) or the budget
+    (OBJECTIVE_BUDGET if None) runs out."""
     n = sys.n
     scale = sys.data_scale()
     if budget is None:

@@ -14,11 +14,16 @@ from lssbalred import (
     stochastic_embedding,
 )
 from lssbalred.balred import balance, truncate
-from lssbalred.embeddings import MC_CHUNK, feasible_block_pair
+from lssbalred.embeddings import MC_CHUNK
 from lssbalred.model import pad_with_dead_states
 from lssbalred.simulate import _dt_run_batch, empirical_gain
 from conftest import scalar_model, scalar_two_mode
-from residual_oracles import averaged_residuals, exhaustive_stochastic_energy, markov_match
+from residual_oracles import (
+    averaged_residuals,
+    exhaustive_stochastic_energy,
+    feasible_block_pair,
+    markov_match,
+)
 
 
 class TestEmbeddingLayout:

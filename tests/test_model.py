@@ -21,11 +21,10 @@ from lssbalred import (
     stochastic_embedding,
     validate_model,
 )
-from lssbalred.embeddings import feasible_block_pair
 from lssbalred.model import difference_system, pad_with_dead_states
 from lssbalred.realization import markov_parameter
 from lssbalred.stability import check_strong_stability
-from residual_oracles import markov_match
+from residual_oracles import feasible_block_pair, markov_match
 
 
 def test_example1_is_valid(example1):

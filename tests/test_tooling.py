@@ -61,20 +61,21 @@ def test_library_workload_ops_pass_their_checks(setup, tmp_path):
         assert op.check(op.run()) is None, op.name
 
 
-# run.py's speed probe samples every 50 ms; when the gain workload's 100
-# set-ups end before the first sample, `SpeedProbe.factor` averages no samples
-# and the run exits 1 outside any library call.  That fault is in perfbench,
-# so a run that hits it is repeated.
+# run.py's speed probe samples every 50 ms; when a workload's set-ups end
+# before the first sample, `SpeedProbe.factor` averages no samples and the
+# run exits 1 outside any library call.  That fault is in perfbench, so a run
+# that hits it is repeated.
 PROBE_FAULT = "setup_factor = probe.factor"
 
 
 @pytest.mark.parametrize("trace", [0, 1])
-def test_gain_bisect_run_exits_clean(trace):
+@pytest.mark.parametrize("workload", ["gain-bisect", "reduce-lmi"])
+def test_run_exits_clean(workload, trace):
     """`perfbench/run.py` end to end, as the benchmark runs it: set-up,
     checks, fingerprint and the speed probe run outside the guard around
     each operation, so an exception there exits non-zero.  Its output goes
     to the git-ignored `.bench_build/`."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", "gain-bisect", "--seed", "7",
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
             "--seconds", "0", "--trace", str(trace)]
     for _ in range(10):
         proc = subprocess.run(argv, cwd=PERFBENCH.parent, capture_output=True, text=True,
