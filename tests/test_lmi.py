@@ -445,6 +445,40 @@ class TestMinimize:
         self.assert_clears_margin(sys, got)
         assert ref.feasible and np.trace(got.solution) <= np.trace(ref.solution)
 
+    @pytest.mark.parametrize("objective", ["trace", "corner"])
+    @pytest.mark.parametrize("sys", oracle_cases())
+    def test_agrees_with_per_cone_douglas_rachford(self, sys, objective):
+        """On every oracle case, with <P> weighted by the identity or by
+        the last diagonal entry alone: where Douglas-Rachford's feasibility
+        solve finds a point, the interior-point P clears the margin and its
+        objective is no worse than that of the Douglas-Rachford objective
+        solve; where it finds none, phase 1 raises."""
+        W = np.eye(sys.n) if objective == "trace" else np.diag(np.r_[np.zeros(sys.n - 1), 1.0])
+        if not per_cone_solve_feasibility(sys).feasible:
+            with pytest.raises(InfeasibleError, match=r"phase 1 ended at s = \S+ > 0"):
+                minimize(sys, W)
+            return
+        got = minimize(sys, W)
+        ref = per_cone_solve_feasibility(sys, objective=W)
+        self.assert_clears_margin(sys, got)
+        assert ref.feasible and np.sum(W * got.solution) <= np.sum(W * ref.solution)
+
+    @pytest.mark.parametrize("objective", [np.eye(4), np.diag([0.0, 0.0, 0.0, 1.0])],
+                             ids=["trace", "corner"])
+    def test_objective_solve_is_sound_at_any_budget(self, objective, monkeypatch):
+        """Cut to 1 or 30 iterations per run, the solve still returns a P
+        that clears the margin; each of at most three runs (the infeasible
+        one, phase 1 and the second run) stops at the budget."""
+        model = random_stable_model("discrete", 4, 2, seed=74)
+        sys = family_system(model, "O")
+        assert sys.residual(np.eye(4)) > 0
+        for budget in (1, 30):
+            monkeypatch.setattr(lmi, "ITERATION_BUDGET", budget)
+            result = minimize(sys, objective)
+            assert result.iterations <= 3 * budget
+            self.assert_clears_margin(sys, result)
+            assert check_membership(model, result.solution, "O").member(result.margin - 1e-12)
+
     def test_block_order_leaves_the_optimum(self):
         """Cones of two sizes, interleaved, so the stacks by size are not in
         block order."""
